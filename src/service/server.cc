@@ -590,12 +590,14 @@ void ServiceServer::HandleApply(const std::shared_ptr<Tenant>& tenant,
   } else {
     inserted = session_.Apply(tenant->handle, repair);
   }
+  // Push crossings before the ack: a client that sees this OK must find
+  // every push the mutation caused already on its subscribers' sockets.
+  NotifySubscribers(tenant);
   if (inserted.has_value()) {
     op.conn->Send(Response::Ok(tag, {std::to_string(*inserted)}));
   } else {
     op.conn->Send(Response::Ok(tag));
   }
-  NotifySubscribers(tenant);
 }
 
 void ServiceServer::HandleEvaluate(const std::shared_ptr<Tenant>& tenant,
@@ -643,10 +645,10 @@ void ServiceServer::HandleStreamTick(const std::shared_ptr<Tenant>& tenant,
     return;
   }
   const size_t expired = tenant->stream->AdvanceTo(op.request.tick);
+  NotifySubscribers(tenant);  // before the ack, as in HandleApply
   op.conn->Send(Response::Ok(
       op.request.tag, {std::to_string(expired),
                        std::to_string(tenant->stream->num_live())}));
-  NotifySubscribers(tenant);
 }
 
 void ServiceServer::HandleSubscribe(const std::shared_ptr<Tenant>& tenant,

@@ -46,8 +46,8 @@ struct DetectionState {
   }
 };
 
-// Scheduling grain shared by every parallel phase (pass-1 scan, bucket
-// build, probe, k-ary enumeration): the work-stealing scheduler never
+// Scheduling grain shared by every parallel phase (pass-1 scan, probe,
+// k-ary enumeration): the work-stealing scheduler never
 // claims a sub-range smaller than this many rows, bounding per-claim
 // scheduling overhead. Claims start much coarser and shrink toward the
 // tail (see OrderedStealingFor), so skewed per-row costs cannot serialize
@@ -55,12 +55,12 @@ struct DetectionState {
 constexpr size_t kMinProbeChunkRows = 64;
 
 // Geometric decay applied to every constraint's activity score once per
-// detection, so hottest-first ordering (DetectorOptions::activity_ordering)
-// tracks recent fire history rather than all-time totals.
+// detection, so the score tracks recent fire history rather than all-time
+// totals.
 constexpr double kActivityDecay = 0.95;
 
 // Parallel-path scaffolding shared by the sharded phases (pass-1 scan,
-// bucket build, k-ary enumeration, binary probe): work-stealing workers
+// k-ary enumeration, binary probe): work-stealing workers
 // run `shard(range, buffer)` over scheduler-chosen sub-ranges of [0, n) —
 // `shard` returns true when it stopped at an expired cooperative deadline
 // poll — and the range-private buffers are consumed in canonical
@@ -109,81 +109,298 @@ void ParallelPhase(size_t num_threads, size_t n, ShardFn&& shard,
       });
 }
 
+// The binary probe plan of one constraint, built once per detection and
+// read by every shard strictly read-only.
+//
+// A probe row's candidate block is its equality bucket, or the whole
+// variable-1 relation when the body has no key or blocking is off. All
+// blocks live in one array, `rows`: bucket b spans [bucket_begin[b],
+// bucket_begin[b + 1]), and `bucket_of` maps a key hash to its bucket (the
+// unblocked relation is bucket 0). Inside a block, rows ascend when
+// nothing narrows it; otherwise they are ordered by (`entry_keys`, row),
+// where `entry_keys` holds each row's narrowing key — an order rank, or a
+// class id for `!=` — so a binary search cuts the rows a probe row can
+// satisfy into one or two contiguous runs. Hash collisions share a bucket;
+// BodyHolds rejects them like any other failing pair. When a second ranked
+// order predicate filters the runs, `zone_min` / `zone_max` bound its
+// t'-side rank over each kZoneRows entries of `rows`, so a scan skips whole
+// zones no row of which can pass; on data that mostly satisfies its
+// constraints the two ranks move together, and nearly every zone outside
+// the probe row's band is skipped.
+struct BinaryProbe {
+  const DcEval* eval = nullptr;
+  const Database::RelationBlock* r0 = nullptr;
+  const Database::RelationBlock* r1 = nullptr;
+  bool same_relation = false;
+  BlockingKeys keys;
+  bool blocked = false;
+  std::vector<uint32_t> rows;
+  std::vector<uint32_t> entry_keys;  // narrowing key per entry of rows
+  std::unordered_map<uint64_t, uint32_t> bucket_of;  // key hash -> bucket
+  std::vector<uint32_t> bucket_begin;
+  std::vector<uint32_t> zone_min;
+  std::vector<uint32_t> zone_max;
+  // The narrowing predicate `t[a0] narrow_op t'[a1]` on per-row keys:
+  // order ranks, or class ids for `!=`. Null keys: blocks are scanned
+  // whole.
+  CompareOp narrow_op = CompareOp::kLt;
+  const uint32_t* probe_keys = nullptr;  // per r0 row
+  const uint32_t* block_keys = nullptr;  // per r1 row
+  // Ranked order predicates; ranks[0] narrows when there is one, and
+  // ranks[first_filter..] filter candidates with integer compares.
+  std::vector<RankedOrderPredicate> ranks;
+  size_t first_filter = 0;
+  std::vector<uint8_t> skip0;  // self-inconsistent r0 rows
+  std::vector<uint8_t> skip1;  // self-inconsistent r1 rows
+};
+
+constexpr uint32_t kZoneRows = 32;
+
+// Chooses the narrowing predicate of `probe`. A ranked order predicate wins
+// over a `!=` predicate: its range is usually far narrower than
+// "everything but one class". Plain nested-loop mode (blocking off)
+// narrows nothing and filters nothing, so the ablation baseline stays the
+// textbook join.
+void PlanNarrowing(BinaryProbe& probe, bool use_blocking) {
+  if (!use_blocking) return;
+  probe.ranks = CompileOrderRanks(*probe.eval, *probe.r0, *probe.r1);
+  if (!probe.ranks.empty()) {
+    probe.narrow_op = probe.ranks[0].op;
+    probe.probe_keys = probe.ranks[0].rank0.data();
+    probe.block_keys = probe.ranks[0].rank1.data();
+    probe.first_filter = 1;
+    return;
+  }
+  for (const Predicate& p : probe.eval->dc().predicates()) {
+    if (!p.IsCrossVariable() || p.op() != CompareOp::kNe) continue;
+    const CrossPredicate cross = NormalizeCross(p);
+    probe.narrow_op = CompareOp::kNe;
+    probe.probe_keys = probe.r0->class_columns[cross.a0].data();
+    probe.block_keys = probe.r1->class_columns[cross.a1].data();
+    return;
+  }
+}
+
+// Lays the variable-1 rows out into `probe`'s blocks (see BinaryProbe):
+// bucket ids in first-seen order, a counting sort by bucket that keeps rows
+// ascending inside each, then a sort of each narrowed block by key. The
+// bucket hashes are computed in ascending row order with cooperative
+// deadline polls on the row index; returns true when the deadline expired
+// mid-build, leaving the index unusable.
+bool BuildBlocks(BinaryProbe& probe, const Deadline& deadline) {
+  const Database::RelationBlock& r1 = *probe.r1;
+  const uint32_t n = static_cast<uint32_t>(r1.num_rows());
+  probe.rows.resize(n);
+  if (probe.blocked) {
+    std::vector<uint32_t> bucket(n);
+    probe.bucket_of.reserve(n);
+    for (uint32_t j = 0; j < n; ++j) {
+      if (PollDeadline(j, deadline)) return true;
+      const uint64_t hash = HashKeyClasses(RowRef{&r1, j}, probe.keys.var1);
+      const auto next = static_cast<uint32_t>(probe.bucket_of.size());
+      bucket[j] = probe.bucket_of.try_emplace(hash, next).first->second;
+    }
+    probe.bucket_begin.assign(probe.bucket_of.size() + 1, 0);
+    for (const uint32_t b : bucket) ++probe.bucket_begin[b + 1];
+    for (size_t b = 1; b < probe.bucket_begin.size(); ++b) {
+      probe.bucket_begin[b] += probe.bucket_begin[b - 1];
+    }
+    std::vector<uint32_t> fill(probe.bucket_begin.begin(),
+                               probe.bucket_begin.end() - 1);
+    for (uint32_t j = 0; j < n; ++j) probe.rows[fill[bucket[j]]++] = j;
+  } else {
+    probe.bucket_begin = {0, n};
+    for (uint32_t j = 0; j < n; ++j) probe.rows[j] = j;
+  }
+  if (probe.probe_keys == nullptr) return false;
+
+  probe.entry_keys.resize(n);
+  std::vector<uint64_t> packed;  // key << 32 | row
+  for (size_t b = 0; b + 1 < probe.bucket_begin.size(); ++b) {
+    const uint32_t begin = probe.bucket_begin[b];
+    const uint32_t end = probe.bucket_begin[b + 1];
+    packed.clear();
+    for (uint32_t k = begin; k < end; ++k) {
+      const uint32_t j = probe.rows[k];
+      packed.push_back(static_cast<uint64_t>(probe.block_keys[j]) << 32 | j);
+    }
+    std::sort(packed.begin(), packed.end());
+    for (uint32_t k = begin; k < end; ++k) {
+      probe.rows[k] = static_cast<uint32_t>(packed[k - begin]);
+      probe.entry_keys[k] = static_cast<uint32_t>(packed[k - begin] >> 32);
+    }
+  }
+  if (probe.first_filter < probe.ranks.size()) {
+    const std::vector<uint32_t>& rank1 = probe.ranks[probe.first_filter].rank1;
+    const size_t zones = (n + kZoneRows - 1) / kZoneRows;
+    probe.zone_min.assign(zones, UINT32_MAX);
+    probe.zone_max.assign(zones, 0);
+    for (uint32_t k = 0; k < n; ++k) {
+      const uint32_t r = rank1[probe.rows[k]];
+      uint32_t& lo = probe.zone_min[k / kZoneRows];
+      uint32_t& hi = probe.zone_max[k / kZoneRows];
+      lo = std::min(lo, r);
+      hi = std::max(hi, r);
+    }
+  }
+  return false;
+}
+
 // One shard of the binary-constraint probe phase: probes rows
 // [range.begin, range.end) of the variable-0 relation block and feeds
 // every surviving candidate pair — body verified, self-inconsistent facts
 // and reflexive matches filtered — to `emit(a, b)` (a < b or a == b
-// cross-relation) in the sequential path's discovery order (probe row
-// ascending, bucket/inner row order within). `emit` returning false stops
+// cross-relation) in the canonical discovery order: probe row ascending,
+// inner row ascending within. Each probe row's candidates are its block,
+// narrowed by the plan's index to the rows that can satisfy the narrowing
+// predicate; the remaining ranked order predicates filter them with
+// integer compares, BodyHolds verifies the survivors, and narrowed
+// survivors are sorted back into inner-row order before they are emitted.
+// Narrowing and filtering only drop pairs whose body fails, so the emitted
+// stream is exactly the full nested loop's. `emit` returning false stops
 // the shard; worker shards never stop (they buffer into chunk-private
 // vectors, and deduplication, the subset cap and the deadline — all
 // global-order-dependent — are applied by the ordered merge, making
 // results bit-identical for any thread count), while the sequential fast
 // path merges inline and keeps the first-witness early exit that
-// Satisfies' max_subsets = 1 probes rely on. Reads shared state (blocks,
-// eval plan, buckets) strictly read-only.
-struct ProbeShardInput {
-  const DcEval* eval;
-  const Database::RelationBlock* r0;
-  const Database::RelationBlock* r1;
-  const BlockingKeys* keys;
-  const std::unordered_map<uint64_t, std::vector<uint32_t>>* buckets;
-  const std::unordered_set<FactId>* self_inconsistent;
-  bool blocked = false;
-};
-
-// Returns true when the shard stopped early because `deadline` expired at
-// a cooperative poll point (blocked mode polls per probe row, nested-loop
-// mode per (i, j) pair — both aligned to global indices, see
-// kDeadlinePollInterval); false when the shard ran to completion or was
-// stopped by `emit`.
+// Satisfies' max_subsets = 1 probes rely on.
+//
+// Deadline polls sit on global indices: the probe row when blocked, the
+// pair index i * |r1| + j otherwise (see kDeadlinePollInterval). A
+// narrowed row skips most pair indices, so the poll points it passes are
+// checked lazily — before the next emitted pair at or beyond one, and at
+// the next row start — which cuts the emitted stream at exactly the same
+// pair as checking each point in turn. Returns true when the shard stopped
+// at an expired poll, false when it ran to completion or `emit` stopped it.
 template <typename Emit>
-bool ProbeShard(const ProbeShardInput& in, IndexRange range,
+bool ProbeShard(const BinaryProbe& in, IndexRange range,
                 const Deadline& deadline, Emit&& emit) {
-  const DenialConstraint& dc = in.eval->dc();
-  const bool same_relation = dc.var_relation(0) == dc.var_relation(1);
-  auto consider = [&](uint32_t i, uint32_t j) {
-    // i indexes r0 (variable t), j indexes r1 (variable t'). Returns
-    // false to stop the shard.
-    const FactId a = in.r0->row_ids[i];
-    const FactId b = in.r1->row_ids[j];
-    if (a == b && same_relation) return true;
-    if (in.self_inconsistent->count(a) > 0 ||
-        in.self_inconsistent->count(b) > 0) {
-      return true;
-    }
-    const RowRef assignment[2] = {RowRef{in.r0, i}, RowRef{in.r1, j}};
-    if (!in.eval->BodyHolds(assignment)) return true;
-    return emit(std::min(a, b), std::max(a, b));
+  const uint64_t inner = in.r1->num_rows();
+  const uint64_t stride = in.blocked ? 1 : inner;
+  auto pair_index = [&](uint32_t i, uint32_t j) {
+    return in.blocked ? i : i * inner + j;
   };
-  if (in.blocked) {
-    for (uint32_t i = static_cast<uint32_t>(range.begin);
-         i < static_cast<uint32_t>(range.end); ++i) {
-      if (PollDeadline(i, deadline)) return true;
-      const RowRef probe{in.r0, i};
-      const auto it = in.buckets->find(HashKeyClasses(probe, in.keys->var0));
-      if (it == in.buckets->end()) continue;
-      for (const uint32_t j : it->second) {
-        if (!KeyClassesEqual(probe, in.keys->var0, RowRef{in.r1, j},
-                             in.keys->var1)) {
-          continue;  // hash collision
+  // The first poll point not yet checked (index 0 is never one).
+  uint64_t next_poll = std::max<uint64_t>(
+      kDeadlinePollInterval,
+      (range.begin * stride + kDeadlinePollInterval - 1) /
+          kDeadlinePollInterval * kDeadlinePollInterval);
+  auto expired_by = [&](uint64_t index) {
+    if (index < next_poll) return false;
+    if (deadline.Expired()) return true;
+    next_poll = (index / kDeadlinePollInterval + 1) * kDeadlinePollInterval;
+    return false;
+  };
+
+  const DcEval& eval = *in.eval;
+  std::vector<uint32_t> hits;
+  for (uint32_t i = static_cast<uint32_t>(range.begin);
+       i < static_cast<uint32_t>(range.end); ++i) {
+    if (expired_by(pair_index(i, 0))) return true;
+    if (in.skip0[i]) continue;
+    const RowRef probe{in.r0, i};
+    uint32_t begin = 0;
+    uint32_t end = static_cast<uint32_t>(in.rows.size());
+    if (in.blocked) {
+      const auto it = in.bucket_of.find(HashKeyClasses(probe, in.keys.var0));
+      if (it == in.bucket_of.end()) continue;
+      begin = in.bucket_begin[it->second];
+      end = in.bucket_begin[it->second + 1];
+    }
+    // Returns false to stop the shard; appends to `hits` instead of
+    // emitting when the row is narrowed (its rows are not in j order).
+    auto consider = [&](uint32_t j, bool narrowed) {
+      if (in.same_relation && i == j) return true;
+      if (in.skip1[j]) return true;
+      for (size_t f = in.first_filter; f < in.ranks.size(); ++f) {
+        if (!in.ranks[f].Holds(i, j)) return true;
+      }
+      const RowRef assignment[2] = {probe, RowRef{in.r1, j}};
+      if (!eval.BodyHolds(assignment)) return true;
+      if (narrowed) {
+        hits.push_back(j);
+        return true;
+      }
+      const FactId a = in.r0->row_ids[i];
+      const FactId b = in.r1->row_ids[j];
+      return emit(std::min(a, b), std::max(a, b));
+    };
+    const uint32_t* rows = in.rows.data();
+    if (in.probe_keys == nullptr) {
+      for (uint32_t k = begin; k < end; ++k) {
+        if (expired_by(pair_index(i, rows[k]))) return true;
+        if (!consider(rows[k], false)) return false;
+      }
+      continue;
+    }
+    // Narrowed: one or two runs of the key-sorted block.
+    const uint32_t key = in.probe_keys[i];
+    const uint32_t* keys = in.entry_keys.data();
+    const uint32_t lower = static_cast<uint32_t>(
+        std::lower_bound(keys + begin, keys + end, key) - keys);
+    const uint32_t upper = static_cast<uint32_t>(
+        std::upper_bound(keys + lower, keys + end, key) - keys);
+    uint32_t runs[2][2] = {{begin, begin}, {begin, begin}};
+    switch (in.narrow_op) {
+      case CompareOp::kLt:  // t'-key > key
+        runs[0][0] = upper, runs[0][1] = end;
+        break;
+      case CompareOp::kLe:
+        runs[0][0] = lower, runs[0][1] = end;
+        break;
+      case CompareOp::kGt:  // t'-key < key
+        runs[0][1] = lower;
+        break;
+      case CompareOp::kGe:
+        runs[0][1] = upper;
+        break;
+      case CompareOp::kNe:
+        runs[0][1] = lower;
+        runs[1][0] = upper, runs[1][1] = end;
+        break;
+      case CompareOp::kEq:  // never a narrowing predicate
+        break;
+    }
+    hits.clear();
+    // Whether some row of `zone` may pass the first filter predicate.
+    auto zone_may_pass = [&](uint32_t zone) {
+      if (in.zone_min.empty()) return true;
+      const RankedOrderPredicate& f = in.ranks[in.first_filter];
+      const uint32_t r = f.rank0[i];
+      switch (f.op) {
+        case CompareOp::kLt:
+          return r < in.zone_max[zone];
+        case CompareOp::kLe:
+          return r <= in.zone_max[zone];
+        case CompareOp::kGt:
+          return r > in.zone_min[zone];
+        case CompareOp::kGe:
+          return r >= in.zone_min[zone];
+        default:
+          return true;
+      }
+    };
+    for (const auto& run : runs) {
+      for (uint32_t k = run[0]; k < run[1];) {
+        const uint32_t zone = k / kZoneRows;
+        const uint32_t zone_end = std::min(run[1], (zone + 1) * kZoneRows);
+        if (zone_may_pass(zone)) {
+          for (; k < zone_end; ++k) consider(rows[k], true);
         }
-        if (!consider(i, j)) return false;
+        k = zone_end;
       }
     }
-  } else {
-    // Nested-loop work is quadratic, so per-row polls could leave O(|r1|)
-    // work between clock checks; poll on the global pair index instead.
-    const uint64_t inner = in.r1->num_rows();
-    for (uint32_t i = static_cast<uint32_t>(range.begin);
-         i < static_cast<uint32_t>(range.end); ++i) {
-      for (uint32_t j = 0; j < inner; ++j) {
-        if (PollDeadline(i * inner + j, deadline)) return true;
-        if (!consider(i, j)) return false;
-      }
+    std::sort(hits.begin(), hits.end());
+    for (const uint32_t j : hits) {
+      if (expired_by(pair_index(i, j))) return true;
+      const FactId a = in.r0->row_ids[i];
+      const FactId b = in.r1->row_ids[j];
+      if (!emit(std::min(a, b), std::max(a, b))) return false;
     }
   }
-  return false;
+  // Poll points past the last emitted pair of the range.
+  const uint64_t end_index = range.end * stride;
+  return end_index > range.begin * stride && expired_by(end_index - 1);
 }
 
 }  // namespace
@@ -280,28 +497,12 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     return std::move(state.result);
   }
 
-  // Pass 2: binary constraints, blocked or nested-loop; k-ary constraints
-  // through the kernel's sharded enumeration. Constraints probe in
-  // ascending index order by default, or hottest-first (decayed fires,
-  // stable on ties) under activity_ordering — the violation set is
-  // order-invariant either way; only where a cap or deadline truncates
-  // moves.
+  // Pass 2: binary constraints through the narrowed block probe; k-ary
+  // constraints through the kernel's sharded enumeration. Constraints
+  // probe in ascending index order.
   {
     std::lock_guard<std::mutex> lock(activity_mu_);
     for (DetectorConstraintStats& a : activity_) a.activity *= kActivityDecay;
-  }
-  std::vector<uint32_t> probe_order(constraints_.size());
-  for (uint32_t i = 0; i < probe_order.size(); ++i) probe_order[i] = i;
-  if (options.activity_ordering) {
-    std::vector<double> heat(constraints_.size(), 0.0);
-    {
-      std::lock_guard<std::mutex> lock(activity_mu_);
-      for (size_t c = 0; c < activity_.size(); ++c) {
-        heat[c] = activity_[c].activity;
-      }
-    }
-    std::stable_sort(probe_order.begin(), probe_order.end(),
-                     [&](uint32_t a, uint32_t b) { return heat[a] > heat[b]; });
   }
 
   std::vector<std::vector<FactId>> kary_candidates;
@@ -361,76 +562,40 @@ ViolationSet ViolationDetector::Detect(const Database& db,
           });
       return;
     }
-    const Database::RelationBlock& r0 = db.relation_block(dc.var_relation(0));
-    const Database::RelationBlock& r1 = db.relation_block(dc.var_relation(1));
-
-    const BlockingKeys keys = ExtractBlockingKeys(dc);
-    ProbeShardInput shard_input;
-    shard_input.eval = &eval;
-    shard_input.r0 = &r0;
-    shard_input.r1 = &r1;
-    shard_input.keys = &keys;
-    shard_input.self_inconsistent = &state.self_inconsistent;
-    shard_input.blocked = options.use_blocking && !keys.empty();
+    BinaryProbe probe;
+    probe.eval = &eval;
+    probe.r0 = &db.relation_block(dc.var_relation(0));
+    probe.r1 = &db.relation_block(dc.var_relation(1));
+    probe.same_relation = dc.var_relation(0) == dc.var_relation(1);
+    probe.keys = ExtractBlockingKeys(dc);
+    probe.blocked = options.use_blocking && !probe.keys.empty();
+    const Database::RelationBlock& r0 = *probe.r0;
+    const Database::RelationBlock& r1 = *probe.r1;
 
     // Hash var-1 side, probe with var-0 side. Bucket keys are FNV mixes
-    // of interned class ids; bucket membership is verified with id
-    // compares, so the whole probe path is free of Value hashing and
-    // comparison. The build is sharded by j range into chunk-private maps;
-    // merging them in canonical ascending chunk order concatenates each
-    // bucket's row lists with ascending j — exactly the sequential build's
-    // bucket layout, so the probe's discovery order is untouched. (Which
-    // bucket a key lands in is key-determined, so per-chunk map iteration
-    // order is irrelevant.)
-    std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
-    if (shard_input.blocked) {
-      // The build polls the deadline cooperatively like every other phase
-      // (global-index-aligned rows, so where it stops is the same for every
-      // sharding); an expired build truncates the run before probing — its
-      // partial bucket map is never consulted.
-      using BucketMap = std::unordered_map<uint64_t, std::vector<uint32_t>>;
-      // Returns true when the deadline expired at a poll point mid-build.
-      auto build_rows = [&](IndexRange range, BucketMap& map) {
-        for (uint32_t j = static_cast<uint32_t>(range.begin);
-             j < static_cast<uint32_t>(range.end); ++j) {
-          if (PollDeadline(j, state.deadline)) return true;
-          map[HashKeyClasses(RowRef{&r1, j}, keys.var1)].push_back(j);
-        }
-        return false;
-      };
-      if (num_threads <= 1 || r1.num_rows() < 2 * kMinProbeChunkRows) {
-        buckets.reserve(r1.num_rows());
-        if (build_rows(IndexRange{0, r1.num_rows()}, buckets)) {
-          state.result.set_truncated(true);
-          state.stop = true;
-        }
-      } else {
-        buckets.reserve(r1.num_rows());
-        ParallelPhase<BucketMap>(
-            num_threads, r1.num_rows(),
-            [&](IndexRange range, BucketMap& map) {
-              map.reserve(range.size());
-              return build_rows(range, map);
-            },
-            [&](BucketMap& map) {
-              for (auto& [key, rows] : map) {
-                auto& dst = buckets[key];
-                if (dst.empty()) {
-                  dst = std::move(rows);
-                } else {
-                  dst.insert(dst.end(), rows.begin(), rows.end());
-                }
-              }
-              return true;
-            },
-            [&] {
-              state.result.set_truncated(true);
-              state.stop = true;
-            });
-      }
-      if (state.stop) return;  // the caller's loop breaks before the next DC
+    // of interned class ids, so blocking never hashes a Value. The blocks
+    // are built on this thread (BuildBlocks); a sharded build of per-chunk
+    // hash maps measured about twice as slow at 4 threads on 2-5k-row
+    // relations, its merge costing what the hashing saved. An expired
+    // build truncates the run before probing.
+    PlanNarrowing(probe, options.use_blocking);
+    if (BuildBlocks(probe, state.deadline)) {
+      state.result.set_truncated(true);
+      state.stop = true;
+      return;  // the caller's loop breaks before the next DC
     }
-    shard_input.buckets = &buckets;
+    auto skip_flags = [&](const Database::RelationBlock& block,
+                          RelationId relation) {
+      std::vector<uint8_t> flags(block.num_rows(), 0);
+      for (const FactId id : state.self_inconsistent) {
+        const Database::RowLocation loc = db.Locate(id);
+        if (loc.relation == relation) flags[loc.row] = 1;
+      }
+      return flags;
+    };
+    probe.skip0 = skip_flags(r0, dc.var_relation(0));
+    probe.skip1 = probe.same_relation ? probe.skip0
+                                      : skip_flags(r1, dc.var_relation(1));
 
     // Symmetric-pair dedup (FD-style bodies match both orders of a pair;
     // the per-constraint dedup keeps the (F, sigma) minimal-violation
@@ -452,7 +617,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
       // Sequential fast path: candidates merge inline, pair by pair, so a
       // max_subsets stop (e.g. Satisfies' cap of 1) exits at the first
       // witness with no buffering — the pre-sharding behavior.
-      if (ProbeShard(shard_input, IndexRange{0, r0.num_rows()},
+      if (ProbeShard(probe, IndexRange{0, r0.num_rows()},
                      state.deadline, merge_candidate)) {
         state.result.set_truncated(true);
         state.stop = true;
@@ -473,7 +638,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     ParallelPhase<std::vector<std::pair<FactId, FactId>>>(
         num_threads, r0.num_rows(),
         [&](IndexRange range, std::vector<std::pair<FactId, FactId>>& found) {
-          return ProbeShard(shard_input, range, state.deadline,
+          return ProbeShard(probe, range, state.deadline,
                             [&](FactId a, FactId b) {
                               found.emplace_back(a, b);
                               return true;
@@ -490,7 +655,7 @@ ViolationSet ViolationDetector::Detect(const Database& db,
           state.stop = true;
         });
   };
-  for (const uint32_t dci : probe_order) {
+  for (size_t dci = 0; dci < constraints_.size(); ++dci) {
     if (state.stop) break;
     const DenialConstraint& dc = constraints_[dci];
     if (dc.num_vars() == 1) continue;  // covered by pass 1

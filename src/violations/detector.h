@@ -26,27 +26,20 @@ struct DetectorOptions {
   double deadline_seconds = 0.0;
 
   /// Hash-partition facts on the values of cross-variable equality
-  /// predicates before verifying bodies pairwise. Disabling this forces the
-  /// plain nested-loop join (used by the blocking ablation bench).
+  /// predicates, and narrow each probe row's candidates through the order
+  /// rank / `!=` class index, before verifying bodies pairwise. Disabling
+  /// this forces the plain nested-loop join over every pair (used by the
+  /// blocking ablation bench).
   bool use_blocking = true;
 
-  /// Probe pass-2 constraints hottest-first — ordered by exponentially
-  /// decayed per-constraint fire counts accumulated across this detector's
-  /// previous detections — so capped (max_subsets) or deadlined runs spend
-  /// their budget on the constraints most likely to fire. Off by default:
-  /// the violation *set* (and every measure) is unchanged, but discovery
-  /// order permutes, so a capped run truncates along a different canonical
-  /// order than the ascending-constraint default.
-  bool activity_ordering = false;
-
   /// Worker threads for every enumeration phase of detection: the pass-1
-  /// self-inconsistency scan, the blocking bucket build, the
-  /// binary-constraint probe (blocking probe and nested-loop fallback),
-  /// and the k-ary enumeration (sharded over outermost-variable rows).
+  /// self-inconsistency scan, the binary-constraint probe (sharded over
+  /// probe rows), and the k-ary enumeration (sharded over
+  /// outermost-variable rows). Blocking buckets are built sequentially.
   /// 1 = fully sequential on the calling thread (no pool involvement);
   /// 0 = one per hardware thread. Results are bit-identical for every
   /// value: shards write into per-shard buffers that are merged — dedup,
-  /// caps, deadline and bucket j-order included — in the sequential path's
+  /// caps and deadline included — in the sequential path's
   /// canonical order. Caveat: a finite deadline_seconds that expires
   /// *mid-run* truncates at a wall-clock-dependent point of that canonical
   /// order, so only runs whose deadline never fires (or is already expired
@@ -59,8 +52,8 @@ struct DetectorOptions {
 
 /// Cumulative per-constraint detection counters: candidate subsets merged
 /// (probes) and subsets admitted into the result (fires) on behalf of one
-/// constraint, plus the decayed activity score that orders hottest-first
-/// probing when DetectorOptions::activity_ordering is on.
+/// constraint, plus an activity score — fires, decayed by a constant
+/// factor per detection — that tracks which constraints fire recently.
 struct DetectorConstraintStats {
   uint64_t num_probes = 0;
   uint64_t num_fires = 0;
@@ -95,8 +88,7 @@ class ViolationDetector {
   ViolationSet FindViolationsInvolving(const Database& db, FactId id) const;
 
   /// Cumulative counters for constraint `c` across every detection this
-  /// detector has run. Thread-safe; activity is the decayed score used for
-  /// hottest-first ordering.
+  /// detector has run. Thread-safe.
   DetectorConstraintStats constraint_stats(size_t c) const;
 
  private:

@@ -1,8 +1,134 @@
 #include "violations/eval_kernel.h"
 
+#include <cmath>
+#include <string>
+
 #include "common/check.h"
 
 namespace dbim {
+
+namespace {
+
+// A class's canonical value decorated for sorting: the kind rank of
+// Value's order (null < numeric < string) and the payload. Sorting keys
+// instead of Values keeps pool reads and variant dispatch out of the
+// comparator.
+struct OrderKey {
+  int kind = 0;
+  int64_t i = 0;  // ints, when `exact_ints`
+  double d = 0;   // every other numeric
+  const std::string* s = nullptr;
+};
+
+// Decorates `classes` for the rank sort, or returns false when Value's order is
+// not a strict weak order on their canonical values. Nulls, strings,
+// doubles and ints each order totally among themselves, and an int of
+// magnitude <= 2^53 converts to double exactly, so mixed int/double
+// compares agree with int/int ones. Two cases break transitivity: a NaN
+// (incomparable to everything, yet equal to nothing) and an int beyond
+// 2^53 compared with a double (2^54 - 1 and 2^54 + 1 both equal 2^54.0 but
+// differ from each other). Wide ints without doubles keep int compares.
+bool DecorateClasses(const ValuePool& pool, const std::vector<ValueId>& classes,
+                     std::vector<OrderKey>* keys, bool* exact_ints) {
+  constexpr int64_t kExact = int64_t{1} << 53;
+  bool has_double = false;
+  bool has_wide_int = false;
+  keys->resize(classes.size());
+  for (size_t k = 0; k < classes.size(); ++k) {
+    const Value& v = pool.value(classes[k]);
+    OrderKey& key = (*keys)[k];
+    switch (v.kind()) {
+      case Value::Kind::kNull:
+        key.kind = 0;
+        break;
+      case Value::Kind::kInt:
+        key.kind = 1;
+        key.i = v.as_int();
+        key.d = v.numeric();
+        if (key.i > kExact || key.i < -kExact) has_wide_int = true;
+        break;
+      case Value::Kind::kDouble:
+        key.kind = 1;
+        key.d = v.as_double();
+        if (std::isnan(key.d)) return false;
+        has_double = true;
+        break;
+      case Value::Kind::kString:
+        key.kind = 2;
+        key.s = &v.as_string();
+        break;
+    }
+  }
+  *exact_ints = has_wide_int;
+  return !(has_double && has_wide_int);
+}
+
+}  // namespace
+
+std::vector<RankedOrderPredicate> CompileOrderRanks(
+    const DcEval& eval, const Database::RelationBlock& r0,
+    const Database::RelationBlock& r1) {
+  const DenialConstraint& dc = eval.dc();
+  const ValuePool& pool = eval.pool();
+  std::vector<RankedOrderPredicate> out;
+  for (const Predicate& p : dc.predicates()) {
+    if (!p.IsCrossVariable()) continue;
+    if (p.op() == CompareOp::kEq || p.op() == CompareOp::kNe) continue;
+    const CrossPredicate cross = NormalizeCross(p);
+    const std::vector<ValueId>& col0 = r0.class_columns[cross.a0];
+    const std::vector<ValueId>& col1 = r1.class_columns[cross.a1];
+
+    // The distinct classes of both columns, first-seen order. `slot` maps
+    // a class id to its position; it is indexed by id, so it costs 4 bytes
+    // per pool entry for the duration of the call — less than the pool's
+    // own per-entry arrays — and makes every lookup an array read.
+    std::vector<uint32_t> slot(pool.size(), UINT32_MAX);
+    std::vector<ValueId> classes;
+    for (const std::vector<ValueId>* col : {&col0, &col1}) {
+      for (const ValueId id : *col) {
+        if (slot[id] != UINT32_MAX) continue;
+        slot[id] = static_cast<uint32_t>(classes.size());
+        classes.push_back(id);
+      }
+    }
+    std::vector<OrderKey> keys;
+    bool exact_ints = false;
+    if (!DecorateClasses(pool, classes, &keys, &exact_ints)) continue;
+    // Value's operator< on decorated keys.
+    auto less = [&](uint32_t a, uint32_t b) {
+      const OrderKey& x = keys[a];
+      const OrderKey& y = keys[b];
+      if (x.kind != y.kind) return x.kind < y.kind;
+      if (x.kind == 1) return exact_ints ? x.i < y.i : x.d < y.d;
+      if (x.kind == 2) return *x.s < *y.s;
+      return false;
+    };
+
+    // Positions of `classes` in value order; equivalent neighbors share a
+    // rank.
+    std::vector<uint32_t> by_value(classes.size());
+    for (uint32_t k = 0; k < by_value.size(); ++k) by_value[k] = k;
+    std::sort(by_value.begin(), by_value.end(), less);
+    std::vector<uint32_t> rank(classes.size(), 0);
+    for (size_t k = 1; k < by_value.size(); ++k) {
+      const bool tied = !less(by_value[k - 1], by_value[k]);
+      rank[by_value[k]] = rank[by_value[k - 1]] + (tied ? 0 : 1);
+    }
+    auto rank_column = [&](const std::vector<ValueId>& col) {
+      std::vector<uint32_t> ranks(col.size());
+      for (size_t row = 0; row < col.size(); ++row) {
+        ranks[row] = rank[slot[col[row]]];
+      }
+      return ranks;
+    };
+    RankedOrderPredicate ranked;
+    ranked.op = cross.op;
+    ranked.rank0 = rank_column(col0);
+    ranked.rank1 = rank_column(col1);
+    out.push_back(std::move(ranked));
+  }
+  return out;
+}
 
 KAryBlockingIndex::KAryBlockingIndex(const DenialConstraint& dc)
     : k_(dc.num_vars()), pair_keys_(k_ * k_), group_of_(k_ * k_, -1) {

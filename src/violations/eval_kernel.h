@@ -80,6 +80,7 @@ class DcEval {
   }
 
   const DenialConstraint& dc() const { return *dc_; }
+  const ValuePool& pool() const { return *pool_; }
 
   /// Evaluates predicate `pi` on interned rows. Equality-type operators
   /// resolve with integer compares and never touch a Value; ordered
@@ -141,6 +142,67 @@ class DcEval {
   const ValuePool* pool_ = nullptr;
   std::vector<PredicatePlan> plan_;
 };
+
+/// `a op b` on dense ranks (or class ids, for `=` / `!=`).
+inline bool CompareRanks(CompareOp op, uint32_t a, uint32_t b) {
+  switch (op) {
+    case CompareOp::kEq:
+      return a == b;
+    case CompareOp::kNe:
+      return a != b;
+    case CompareOp::kLt:
+      return a < b;
+    case CompareOp::kLe:
+      return a <= b;
+    case CompareOp::kGt:
+      return a > b;
+    case CompareOp::kGe:
+      return a >= b;
+  }
+  return false;
+}
+
+/// A cross-variable predicate of a binary constraint, normalized to
+/// `t[a0] op t'[a1]` (variable 0 on the left).
+struct CrossPredicate {
+  AttrIndex a0;
+  CompareOp op;
+  AttrIndex a1;
+};
+
+inline CrossPredicate NormalizeCross(const Predicate& p) {
+  if (p.lhs().var == 0) {
+    return CrossPredicate{p.lhs().attr, p.op(), p.rhs_operand().attr};
+  }
+  return CrossPredicate{p.rhs_operand().attr, FlipOp(p.op()), p.lhs().attr};
+}
+
+/// A cross-variable order predicate of a binary constraint, normalized to
+/// `t[a0] op t'[a1]` and compiled to dense order ranks: `rank0[i]` ranks
+/// row i of the variable-0 block, `rank1[j]` row j of the variable-1 block,
+/// both in one rank space — the distinct classes of the two compared
+/// columns sorted under Value's total order, equivalent classes sharing a
+/// rank. `Holds(i, j)` then equals EvalPredicate on the pair exactly.
+struct RankedOrderPredicate {
+  CompareOp op = CompareOp::kLt;
+  std::vector<uint32_t> rank0;
+  std::vector<uint32_t> rank1;
+
+  bool Holds(uint32_t i, uint32_t j) const {
+    return CompareRanks(op, rank0[i], rank1[j]);
+  }
+};
+
+/// Compiles every cross-variable order predicate (`<, <=, >, >=`) of the
+/// binary constraint `eval` — variable 0 ranging over `r0`, variable 1
+/// over `r1` — in body order. Ranks are exact only where Value's order is
+/// a strict weak order on the compared classes, so a predicate whose
+/// columns hold a NaN, or ints beyond 2^53 next to doubles (where int/double
+/// equality stops being transitive), is left out; BodyHolds still checks
+/// it on every candidate.
+std::vector<RankedOrderPredicate> CompileOrderRanks(
+    const DcEval& eval, const Database::RelationBlock& r0,
+    const Database::RelationBlock& r1);
 
 /// FNV-1a over the semantic class ids of the blocking-key attributes.
 /// Equal key tuples have equal class ids, so hashing the class ids

@@ -565,7 +565,8 @@ TEST(OrderedStealingForTest, SkewedCostComputesEachIndexOnce) {
     constexpr size_t kN = 300;
     std::vector<std::atomic<int>> times_computed(kN);
     for (auto& c : times_computed) c.store(0);
-    volatile uint64_t sink = 0;  // defeat dead-code elimination
+    // Defeats dead-code elimination; atomic because every worker writes it.
+    std::atomic<uint64_t> sink{0};
     size_t cursor = 0;
     OrderedStealingFor(
         threads, kN, 4,
@@ -574,7 +575,7 @@ TEST(OrderedStealingForTest, SkewedCostComputesEachIndexOnce) {
             const size_t spin = i == 0 ? 2000000 : 2000;
             uint64_t acc = 0;
             for (size_t s = 0; s < spin; ++s) acc += s * 2654435761u;
-            sink = acc;
+            sink.store(acc, std::memory_order_relaxed);
             times_computed[i].fetch_add(1);
           }
         },

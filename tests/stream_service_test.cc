@@ -162,6 +162,42 @@ TEST(StreamService, SubscriberSeesThresholdCrossings) {
   EXPECT_EQ(pushed[1].value, 0.0);
 }
 
+// Repeat-stress twin of SubscriberSeesThresholdCrossings: the ack of a
+// mutation is sent only after every crossing it caused was pushed, so once
+// the writer holds both acks the watcher's next round-trip must already see
+// both pushes — in every round, not just when the scheduler is kind.
+TEST(StreamService, AckFollowsSubscriberPushUnderRepetition) {
+  StreamServer ts(WindowedOptions(WindowSpec::Kind::kTicks, 2));
+  ServiceClient watcher;
+  ServiceClient writer;
+  std::string error;
+  ASSERT_TRUE(watcher.Connect("127.0.0.1", ts.port(), &error)) << error;
+  ASSERT_TRUE(writer.Connect("127.0.0.1", ts.port(), &error)) << error;
+  ASSERT_TRUE(watcher.Register("s", &error)) << error;
+  std::string tag;
+  size_t start = 0;
+  ASSERT_TRUE(watcher.Subscribe("s", 0.0, &tag, &start, &error)) << error;
+
+  for (int round = 0; round < 100; ++round) {
+    FactId id = 0;
+    ASSERT_TRUE(writer.ApplyInsert("s", Row(round, 1, 1), &id, &error))
+        << error;
+    ASSERT_TRUE(writer.ApplyInsert("s", Row(round, 2, 1), &id, &error))
+        << error;
+    size_t expired = 0, live = 0;
+    ASSERT_TRUE(
+        writer.StreamTick("s", 10 * (round + 1), &expired, &live, &error))
+        << error;
+    ASSERT_EQ(expired, 2u);
+    ASSERT_TRUE(watcher.Ping(&error)) << error;
+    std::vector<PushedItem> pushed;
+    ASSERT_TRUE(watcher.DrainPushed(tag, &pushed, &error)) << error;
+    ASSERT_EQ(pushed.size(), 2u) << "round " << round;
+    EXPECT_TRUE(pushed[0].up);
+    EXPECT_FALSE(pushed[1].up);
+  }
+}
+
 // EVALUATE ... APPROX round-trips the in-process ApproxEvaluator report
 // bit-identically (the %.17g wire encoding is exact for binary64).
 TEST(StreamService, EvaluateApproxMatchesInProcessEvaluator) {
