@@ -15,9 +15,9 @@
 //                     historical single-mutex pool (the baseline the
 //                     overhead-pair gate compares against at 1 thread).
 //   session         — t threads driving disjoint handles of one
-//                     MeasureSession (epoch slab reclamation enabled)
-//                     through recorded update traces; final per-handle
-//                     reports are checked identical to the 1-thread run.
+//                     MeasureSession (auto-vacuum at 0.5 waste) through
+//                     recorded update traces; final per-handle reports
+//                     are checked identical to the 1-thread run.
 //
 // Per-workload speedup columns (t1 / tN) are for humans and ROADMAP; the
 // gate reads the seconds columns, so it needs no baseline file and is
@@ -109,7 +109,7 @@ double RunSessionApply(const Dataset& base, size_t num_handles,
                        size_t t, std::vector<BatchReport>& reports) {
   MeasureSession session(
       base.schema, base.constraints,
-      MeasureSessionOptions().WithEpochReclaim().WithAutoVacuum(0.5));
+      MeasureSessionOptions().WithAutoVacuum(0.5));
   std::vector<DbHandle> handles;
   handles.reserve(num_handles);
   for (size_t h = 0; h < num_handles; ++h) {

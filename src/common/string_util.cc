@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -41,6 +42,18 @@ std::string_view Trim(std::string_view s) {
 
 bool StartsWith(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
+}
+
+bool ParseUint(std::string_view s, uint64_t max, uint64_t* out) {
+  // from_chars takes no whitespace, '+' or (for unsigned) '-', and
+  // reports overflow; requiring it to consume all of `s` rejects the rest.
+  uint64_t value = 0;
+  const auto [end, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc() || end != s.data() + s.size() || value > max) {
+    return false;
+  }
+  *out = value;
+  return true;
 }
 
 std::string StrFormat(const char* fmt, ...) {

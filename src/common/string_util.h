@@ -1,6 +1,7 @@
 #ifndef DBIM_COMMON_STRING_UTIL_H_
 #define DBIM_COMMON_STRING_UTIL_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,11 @@ std::string_view Trim(std::string_view s);
 
 /// True if `s` starts with `prefix`.
 bool StartsWith(std::string_view s, std::string_view prefix);
+
+/// Parses `s` as a base-10 unsigned integer no larger than `max`: digits
+/// only, no sign, whitespace or trailing characters. Returns false, leaving
+/// *out untouched, on anything else (empty, non-numeric, overflow, > max).
+bool ParseUint(std::string_view s, uint64_t max, uint64_t* out);
 
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

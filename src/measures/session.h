@@ -120,12 +120,6 @@ struct SessionOptions {
   /// Measure reports are invariant under both compactions. 0 disables.
   double auto_vacuum_threshold = 0.0;
 
-  /// Knobs for the per-handle incremental indices (watched-key dispatch,
-  /// anchored-probe pruning). Results are bit-identical for every setting;
-  /// the defaults are the fast path, the opt-outs exist for ablation
-  /// benches and the parity test suite.
-  IncrementalOptions incremental;
-
   /// Durability callbacks (borrowed, not owned; must outlive the session).
   /// nullptr — the default — keeps the session fully in-memory: no WAL
   /// append on Apply, no checkpoint on Vacuum, zero overhead.
@@ -140,15 +134,6 @@ struct SessionOptions {
   /// Disabled by default; an explicit `EVALUATE <s> APPROX <eps>` request
   /// overrides eps per call.
   ApproxSpec approx;
-
-  /// Epoch-based retired-slab reclamation on the session's shared pool:
-  /// Apply opportunistically frees dictionary slabs retired by growth as
-  /// soon as every announcing reader thread has moved past them (see
-  /// common/epoch.h), instead of holding them until a vacuum. Measure
-  /// reports are unaffected. Off by default: a plain session keeps the
-  /// hold-until-vacuum behavior that memory diagnostics (num_slabs) and
-  /// the storage tests pin.
-  bool epoch_slab_reclaim = false;
 
   // Builder-style setters (each returns *this for chaining).
 
@@ -201,10 +186,6 @@ struct SessionOptions {
   }
   SessionOptions& WithApprox(double eps) {
     approx.eps = eps;
-    return *this;
-  }
-  SessionOptions& WithEpochReclaim(bool on = true) {
-    epoch_slab_reclaim = on;
     return *this;
   }
 };
@@ -263,8 +244,9 @@ struct SessionConstraintStats {
 ///  * `Register(db)` re-interns the database onto the session pool and —
 ///    when detection is uncapped — builds an IncrementalViolationIndex on
 ///    the shared eval kernel: binary constraints keep per-constraint
-///    blocking buckets across operations, k-ary constraints re-enumerate
-///    witnesses through the changed fact (anchored enumeration);
+///    blocking buckets across operations and are dispatched through them
+///    (watched dispatch), k-ary constraints re-enumerate witnesses through
+///    the changed fact (anchored enumeration, pruned by equality keys);
 ///  * `Apply(handle, op)` mutates in place and maintains MI_Sigma(D) in
 ///    O(bucket) (binary) / O(k n^{k-1}) (k-ary) per operation instead of
 ///    re-detecting (capped/deadlined detection falls back to full
@@ -372,9 +354,13 @@ class MeasureSession {
   /// Rebuilds the shared pool without dead entries and remaps every
   /// registered database together when PoolWaste() exceeds the threshold;
   /// also compacts each incremental index's dead subset slots past the
-  /// same threshold. Returns whether pool compaction ran. Reports are
-  /// unaffected: subsets are FactId sets and the incremental buckets hash
-  /// value semantics, which the re-intern preserves.
+  /// same threshold. Every call, whatever the threshold, also frees the
+  /// dictionary slabs pool growth retired since the last vacuum — the
+  /// exclusive lock is the one window with no lock-free pool reader, so
+  /// this is the only place they are freed. Returns whether pool
+  /// compaction ran. Reports are unaffected: subsets are FactId sets and
+  /// the incremental buckets hash value semantics, which the re-intern
+  /// preserves.
   bool Vacuum(double waste_threshold);
 
   /// Number of (auto or manual) vacuums that compacted the pool.

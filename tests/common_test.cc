@@ -80,6 +80,35 @@ TEST(StringUtil, StrFormat) {
   EXPECT_EQ(StrFormat("%.2f", 1.0 / 3.0), "0.33");
 }
 
+TEST(StringUtil, ParseUintAcceptsDigitsWithinRange) {
+  uint64_t out = 99;
+  EXPECT_TRUE(ParseUint("0", 65535, &out));
+  EXPECT_EQ(out, 0u);
+  EXPECT_TRUE(ParseUint("7411", 65535, &out));
+  EXPECT_EQ(out, 7411u);
+  EXPECT_TRUE(ParseUint("65535", 65535, &out));
+  EXPECT_EQ(out, 65535u);
+  EXPECT_TRUE(ParseUint("007", 10, &out));
+  EXPECT_EQ(out, 7u);
+  EXPECT_TRUE(ParseUint("18446744073709551615", UINT64_MAX, &out));
+  EXPECT_EQ(out, UINT64_MAX);
+}
+
+TEST(StringUtil, ParseUintRejectsMalformedAndOutOfRange) {
+  // A port of 70000 cast to uint16_t would listen on 4464, and strtoul
+  // reads non-numeric text as 0: both must be rejected, not truncated.
+  for (const char* bad :
+       {"70000", "65536", "", "abc", "12abc", "-1", "+5", " 5", "5 ", "1.5",
+        "0x10", "18446744073709551616", "99999999999999999999"}) {
+    uint64_t out = 42;
+    EXPECT_FALSE(ParseUint(bad, 65535, &out)) << "'" << bad << "'";
+    EXPECT_EQ(out, 42u) << "'" << bad << "'";
+  }
+  uint64_t out = 42;
+  EXPECT_FALSE(ParseUint("11", 10, &out));
+  EXPECT_EQ(out, 42u);
+}
+
 // ---- CSV ----
 
 TEST(Csv, ParsesPlainFields) {

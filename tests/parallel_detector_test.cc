@@ -640,24 +640,5 @@ TEST(ParallelParity, SkewedKAryOuterRows) {
   EXPECT_FALSE(expected.empty());
 }
 
-TEST(OrderedParallelForTest, SplitRangeCoversExactly) {
-  for (const size_t n : {0u, 1u, 63u, 64u, 65u, 1000u}) {
-    for (const size_t max_chunks : {1u, 3u, 16u}) {
-      const auto chunks = SplitRange(n, max_chunks, 64);
-      size_t covered = 0;
-      size_t expected_begin = 0;
-      for (const IndexRange& r : chunks) {
-        EXPECT_EQ(r.begin, expected_begin);
-        EXPECT_LT(r.begin, r.end);
-        covered += r.size();
-        expected_begin = r.end;
-      }
-      EXPECT_EQ(covered, n);
-      EXPECT_LE(chunks.size(), max_chunks);
-      if (n > 0) EXPECT_EQ(chunks.back().end, n);
-    }
-  }
-}
-
 }  // namespace
 }  // namespace dbim

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,38 +306,6 @@ TEST(SessionBatch, VacuumReclaimsRetiredPoolSlabs) {
                          "post-noop-vacuum-reclaim");
 }
 
-// With epoch reclamation opted in, slab debris from dictionary growth is
-// handed back incrementally at Apply boundaries — no Vacuum (and no
-// exclusive session lock) ever needed. Reports stay identical to a fresh
-// engine throughout.
-TEST(SessionBatch, EpochReclaimFreesSlabsWithoutVacuum) {
-  const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  MeasureSessionOptions options;
-  options.registry.include_mc = false;
-  options.WithEpochReclaim();
-  MeasureSession session(schema, dcs, options);
-  EXPECT_TRUE(session.pool().epoch_reclaim());
-  const MeasureEngine fresh(schema, dcs, options);
-
-  const Database start = MakeRandomDatabase(schema, 0, 30, 3, 63);
-  const DbHandle handle = session.Register(start);
-  Database mirror = start;
-  ScriptedWorkload workload(64, WorkloadDomain(3, /*churn=*/true));
-  // Churn far past several slab growths; with the single-mutex pool this
-  // left a ladder of retired slabs until a vacuum.
-  while (session.pool().size() < 4200) {
-    const RepairOperation op = workload.Next(session.db(handle));
-    session.Apply(handle, op);
-    op.ApplyInPlace(mirror);
-  }
-  // Everything retired has been reclaimed on the way: only the live slab
-  // per array remains, and no Vacuum ever ran.
-  EXPECT_EQ(session.pool().num_slabs(), 3u);
-  ExpectIdenticalReports(fresh.EvaluateAll(mirror), session.Evaluate(handle),
-                         "epoch-reclaim churn");
-}
-
 // Regression: the incremental index's compiled-eval cache must key on pool
 // *identity*, not size alone. The trap: compile the evals at pool size S,
 // vacuum (fresh pool, all class ids reassigned, old pool destroyed) so the
@@ -449,14 +418,18 @@ TEST(SessionBatch, VacuumCompactsIncrementalSlots) {
 }
 
 // Concurrent mutation: independent handles Apply from their own threads —
-// interleaved with EvaluateAll batches, PoolWaste scans and the
-// auto-vacuum hook — and every final report must be bit-identical to
-// sequential application of the same per-handle operation sequences. Run
-// under TSan (the suite carries the concurrency label), this is the
-// enforcement arm of the session's per-handle locking design: handle
-// state under the handle lock, pool appends under the pool's own mutex,
-// structural changes behind the exclusive session lock.
-TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
+// interleaved with EvaluateAll batches, CopyFacts dumps, PoolWaste scans
+// and (when `auto_vacuum` > 0) the auto-vacuum hook — and every final
+// report must be bit-identical to sequential application of the same
+// per-handle operation sequences. Each handle gets at least 80 operations;
+// generation continues until the operations would intern more than
+// `min_pool_size` distinct values. Run under TSan (the suite carries the
+// concurrency label), this is the enforcement arm of the session's
+// per-handle locking design: handle state under the handle lock, pool
+// appends under the pool's own mutex, structural changes behind the
+// exclusive session lock.
+void RunConcurrentHandles(double auto_vacuum, size_t min_pool_size,
+                          const std::string& where) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   {  // a k-ary constraint keeps the anchored path in the hammering too
@@ -468,27 +441,45 @@ TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
   }
   MeasureSessionOptions options;
   options.registry.include_mc = false;
-  options.auto_vacuum_threshold = 0.2;  // vacuums interleave with Applies
+  options.auto_vacuum_threshold = auto_vacuum;
   options.batch_threads = 2;
 
   constexpr size_t kHandles = 4;
-  constexpr size_t kOpsPerHandle = 80;
+  constexpr size_t kMinOpsPerHandle = 80;
 
   // Pre-generate each handle's operation sequence against its own mirror:
   // sequences are self-contained (ids follow only that handle's history),
-  // so they are applicable under any cross-handle interleaving.
+  // so they are applicable under any cross-handle interleaving. `values`
+  // interns everything the session will intern, so its size is the
+  // session pool's size with no vacuum.
   std::vector<Database> mirrors;
-  std::vector<std::vector<RepairOperation>> ops(kHandles);
+  std::vector<ScriptedWorkload> workloads;
+  ValuePool values;
   for (size_t h = 0; h < kHandles; ++h) {
     mirrors.push_back(
         MakeRandomDatabase(schema, 0, 25 + 5 * h, 3, 300 + h));
+    mirrors[h].ForEachId([&](FactId id) {
+      for (const Value& v : mirrors[h].fact(id).values()) values.Intern(v);
+    });
     ScriptedWorkloadOptions workload_options = WorkloadDomain(5);
     workload_options.churn_start = static_cast<int64_t>(1000 * h);
-    ScriptedWorkload workload(400 + h, workload_options);
-    for (size_t i = 0; i < kOpsPerHandle; ++i) {
-      // Half the ops churn fresh values so the shared pool grows from
-      // several threads at once and the vacuum threshold actually trips.
-      RepairOperation op = workload.Next(mirrors[h], i % 2 == 0);
+    workloads.emplace_back(400 + h, workload_options);
+  }
+  std::vector<std::vector<RepairOperation>> ops(kHandles);
+  for (size_t i = 0; i < kMinOpsPerHandle || values.size() <= min_pool_size;
+       ++i) {
+    for (size_t h = 0; h < kHandles; ++h) {
+      // At least half the ops churn fresh values so the shared pool grows
+      // from several threads at once and the vacuum threshold actually
+      // trips; growth runs churn every op, which also dilutes violations
+      // so the growing databases stay cheap to evaluate.
+      RepairOperation op =
+          workloads[h].Next(mirrors[h], i % 2 == 0 || min_pool_size > 0);
+      if (op.is_insertion()) {
+        for (const Value& v : op.insertion().fact.values()) values.Intern(v);
+      } else if (op.is_update()) {
+        values.Intern(op.update().value);
+      }
       op.ApplyInPlace(mirrors[h]);
       ops[h].push_back(std::move(op));
     }
@@ -502,21 +493,30 @@ TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
                                             300 + h)));
   }
 
+  std::atomic<size_t> running{kHandles};
   std::vector<std::thread> workers;
   for (size_t h = 0; h < kHandles; ++h) {
     workers.emplace_back([&, h] {
       for (const RepairOperation& op : ops[h]) {
         session.Apply(handles[h], op);
       }
+      running.fetch_sub(1);
     });
   }
-  // A reader thread interleaves whole-session evaluation batches and pool
-  // scans with the mutators. Values are point-in-time snapshots (each
+  // A reader thread interleaves whole-session evaluation batches, fact
+  // dumps and pool scans with the mutators, for at least six rounds and
+  // for as long as any mutator runs — so reads straddle every slab
+  // retirement of pool growth. Values are point-in-time snapshots (each
   // worker holds its handle's lock), so only shape is asserted here.
   std::thread reader([&] {
-    for (int round = 0; round < 6; ++round) {
+    for (int round = 0; round < 6 || running.load() > 0; ++round) {
       const std::vector<BatchReport> reports = session.EvaluateAll(handles);
       EXPECT_EQ(reports.size(), handles.size());
+      for (const DbHandle handle : handles) {
+        for (const auto& [id, row] : session.CopyFacts(handle)) {
+          EXPECT_EQ(row.size(), 3u) << where << " fact " << id;
+        }
+      }
       const double waste = session.PoolWaste();
       EXPECT_GE(waste, 0.0);
       EXPECT_LT(waste, 1.0);
@@ -528,12 +528,38 @@ TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
   // Final state: bit-identical to sequential application, per handle.
   const MeasureEngine fresh(schema, dcs, options);
   for (size_t h = 0; h < kHandles; ++h) {
-    EXPECT_TRUE(session.db(handles[h]) == mirrors[h]) << "handle " << h;
+    EXPECT_TRUE(session.db(handles[h]) == mirrors[h]) << where << " " << h;
     ExpectIdenticalReports(fresh.EvaluateAll(mirrors[h]),
                            session.Evaluate(handles[h]),
-                           "concurrent handle " + std::to_string(h));
+                           where + " handle " + std::to_string(h));
   }
   EXPECT_EQ(session.num_full_detections(), 0u);
+  if (min_pool_size == 0) return;
+  // Without auto-vacuum the pool only grows: every value ever interned is
+  // still there, past the first slab of each array, and the retired slabs
+  // wait for the next vacuum — which frees them even when it rebuilds
+  // nothing.
+  EXPECT_EQ(session.num_vacuums(), 0u) << where;
+  EXPECT_EQ(session.pool().size(), values.size()) << where;
+  EXPECT_GT(session.pool().size(), min_pool_size) << where;
+  EXPECT_GT(session.pool().num_slabs(), 3u) << where;
+  session.Vacuum(/*waste_threshold=*/1.0);
+  EXPECT_EQ(session.pool().num_slabs(), 3u) << where;
+  for (size_t h = 0; h < kHandles; ++h) {
+    ExpectIdenticalReports(fresh.EvaluateAll(mirrors[h]),
+                           session.Evaluate(handles[h]),
+                           where + " post-vacuum handle " + std::to_string(h));
+  }
+}
+
+TEST(SessionConcurrency, ConcurrentApplyOnIndependentHandles) {
+  // Vacuums interleave with Applies.
+  RunConcurrentHandles(/*auto_vacuum=*/0.2, /*min_pool_size=*/0,
+                       "auto-vacuum");
+  // No vacuum until the end: concurrent Applies grow the shared pool past
+  // several slab retirements while the reader is live.
+  RunConcurrentHandles(/*auto_vacuum=*/0.0, /*min_pool_size=*/2500,
+                       "slab growth");
 }
 
 }  // namespace

@@ -4,15 +4,12 @@
 // blocking/nested-loop detector parity, and MeasureEngine batch
 // evaluation.
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/epoch.h"
 #include "common/rng.h"
 #include "common/value_pool.h"
 #include "constraints/fd.h"
@@ -138,68 +135,6 @@ TEST(ValuePool, StripeCountNeverChangesSequentialIdsOrClasses) {
     EXPECT_EQ(striped.hash(id), single.hash(id));
     EXPECT_TRUE(striped.value(id) == single.value(id));
   }
-}
-
-// Epoch-based reclamation frees growth debris without the vacuum's
-// exclusive lock — but only when the pool opted in, and only slabs every
-// announcing thread has provably moved past.
-TEST(ValuePool, EpochReclaimFreesRetiredSlabsWithoutVacuum) {
-  ValuePool pool;
-  std::vector<ValueId> ids;
-  for (int64_t i = 0; i < 3000; ++i) ids.push_back(pool.Intern(Value(i)));
-  ASSERT_EQ(pool.num_slabs(), 9u);
-
-  // Default: opted out, TryReclaim is a no-op and slabs stay for a vacuum.
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 0u);
-  EXPECT_EQ(pool.num_slabs(), 9u);
-
-  pool.set_epoch_reclaim(true);
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 6u);
-  EXPECT_EQ(pool.num_slabs(), 3u);
-  for (int64_t i = 0; i < 3000; i += 131) {
-    EXPECT_EQ(pool.value(ids[static_cast<size_t>(i)]), Value(i));
-  }
-  // Idempotent; and the vacuum-path reclaim still works afterwards.
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 0u);
-  for (int64_t i = 3000; i < 5500; ++i) pool.Intern(Value(i));
-  EXPECT_GT(pool.num_slabs(), 3u);
-  pool.ReclaimRetiredSlabs();
-  EXPECT_EQ(pool.num_slabs(), 3u);
-}
-
-// A reader thread announced at an epoch before the growth pins every slab
-// retired after its announcement: reclaim must free nothing until the
-// reader passes a quiescent point (announces again / goes idle).
-TEST(ValuePool, StaleAnnouncedReaderPinsRetiredSlabs) {
-  ValuePool pool;
-  pool.set_epoch_reclaim(true);
-
-  std::atomic<bool> announced{false};
-  std::atomic<bool> release{false};
-  std::thread reader([&] {
-    EpochRegistry::Global().Announce();  // snapshot the pre-growth epoch
-    announced.store(true, std::memory_order_release);
-    while (!release.load(std::memory_order_acquire)) {
-      std::this_thread::yield();
-    }
-    // Quiescent: stops pinning without announcing a newer epoch.
-    EpochRegistry::Global().SetIdle();
-  });
-  while (!announced.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-
-  for (int64_t i = 0; i < 3000; ++i) pool.Intern(Value(i));
-  ASSERT_EQ(pool.num_slabs(), 9u);
-  // Every retirement happened after the reader's announcement, so nothing
-  // is reclaimable while it still holds that epoch.
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 0u);
-  EXPECT_EQ(pool.num_slabs(), 9u);
-
-  release.store(true, std::memory_order_release);
-  reader.join();
-  EXPECT_EQ(pool.TryReclaimRetiredSlabs(), 6u);
-  EXPECT_EQ(pool.num_slabs(), 3u);
 }
 
 // Every pool carries a process-unique identity token so content-derived

@@ -1,9 +1,9 @@
 // Tests for watched-key constraint dispatch: the shared blocking buckets
 // (whose non-empty keys ARE the watch set) must match a from-scratch
-// rebuild exactly through arbitrary churn, and the watched + pruned fast
-// paths must stay bit-identical to the unwatched reference — same counts,
-// same snapshot layout, same measure values — after every operation,
-// against fresh detection at several thread counts.
+// rebuild exactly through arbitrary churn, and the watched + pruned
+// incremental index must agree with fresh detection at several thread
+// counts — same subsets, same violation count, same measure values —
+// after every operation.
 // The concurrent case (watched sessions mutating from several threads) is
 // here too, so the suite carries the concurrency label for TSan.
 #include <gtest/gtest.h>
@@ -27,13 +27,6 @@ namespace {
 
 using testing::MakeAbcSchema;
 using testing::MakeRandomDatabase;
-
-IncrementalOptions Unwatched() {
-  IncrementalOptions options;
-  options.watched_dispatch = false;
-  options.anchored_pruning = false;
-  return options;
-}
 
 std::vector<DenialConstraint> AbcFds(const Schema& schema) {
   std::vector<DenialConstraint> dcs;
@@ -64,50 +57,35 @@ ScriptedWorkloadOptions WorkloadDomain(int64_t domain) {
   return options;
 }
 
-// Drives a watched and an unwatched index through one random trajectory in
-// lockstep. After every operation: the watcher invariant holds, the two
-// indices agree bit-for-bit (counts, multiplicities, raw snapshot layout —
-// not just set equality), and both match fresh detection at 1/2/4/8
-// threads.
-void RunLockstepSweep(std::shared_ptr<const Schema> schema,
-                      const std::vector<DenialConstraint>& dcs,
-                      size_t num_facts, uint64_t seed, int steps,
-                      const std::string& where) {
+// Drives one index through a random trajectory. After every operation the
+// watcher invariant holds and the index matches fresh detection at
+// 1/2/4/8 threads: the same subsets (as sorted sets — slot order is
+// maintenance order) and the same minimal-violation count.
+void RunSweep(std::shared_ptr<const Schema> schema,
+              const std::vector<DenialConstraint>& dcs, size_t num_facts,
+              uint64_t seed, int steps, const std::string& where) {
   const Database start = MakeRandomDatabase(schema, 0, num_facts, 3, seed);
-  IncrementalViolationIndex watched(schema, dcs, start, {},
-                                    IncrementalOptions{});
-  IncrementalViolationIndex unwatched(schema, dcs, start, {}, Unwatched());
-  EXPECT_EQ(unwatched.NumWatchedKeys(), 0u);
+  IncrementalViolationIndex index(schema, dcs, start);
 
   ScriptedWorkload workload(seed * 17 + 3, WorkloadDomain(3));
   for (int step = 0; step <= steps; ++step) {
-    if (step > 0) {
-      const RepairOperation op = workload.Next(watched.db());
-      watched.Apply(op);
-      unwatched.Apply(op);
-    }
+    if (step > 0) index.Apply(workload.Next(index.db()));
     const std::string at = where + " step " + std::to_string(step);
     std::string error;
-    ASSERT_TRUE(watched.CheckWatcherInvariant(&error)) << at << ": " << error;
-    EXPECT_EQ(watched.NumMinimalSubsets(), unwatched.NumMinimalSubsets())
-        << at;
-    EXPECT_EQ(watched.NumMinimalViolations(),
-              unwatched.NumMinimalViolations())
-        << at;
-    // Raw snapshot layout, not sorted: watched dispatch must discover and
-    // commit subsets in the unwatched path's slot order.
-    EXPECT_EQ(watched.Snapshot().minimal_subsets(),
-              unwatched.Snapshot().minimal_subsets())
-        << at;
-    auto maintained = watched.Snapshot().minimal_subsets();
+    ASSERT_TRUE(index.CheckWatcherInvariant(&error)) << at << ": " << error;
+    auto maintained = index.Snapshot().minimal_subsets();
     std::sort(maintained.begin(), maintained.end());
     for (const size_t threads : {1u, 2u, 4u, 8u}) {
       DetectorOptions dopt;
       dopt.num_threads = threads;
       const ViolationDetector fresh(schema, dcs, dopt);
-      auto detected = fresh.FindViolations(watched.db()).minimal_subsets();
+      const ViolationSet detected_set = fresh.FindViolations(index.db());
+      auto detected = detected_set.minimal_subsets();
       std::sort(detected.begin(), detected.end());
       ASSERT_EQ(maintained, detected) << at << " threads=" << threads;
+      EXPECT_EQ(index.NumMinimalViolations(),
+                detected_set.num_minimal_violations())
+          << at << " threads=" << threads;
     }
   }
 }
@@ -116,9 +94,9 @@ class WatchedDispatchSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(WatchedDispatchSweep, BinarySigmaBitIdentical) {
   const auto schema = MakeAbcSchema();
-  RunLockstepSweep(schema, AbcFds(*schema), 22,
-                   static_cast<uint64_t>(GetParam()) * 5 + 1, 12,
-                   "binary seed=" + std::to_string(GetParam()));
+  RunSweep(schema, AbcFds(*schema), 22,
+           static_cast<uint64_t>(GetParam()) * 5 + 1, 12,
+           "binary seed=" + std::to_string(GetParam()));
 }
 
 TEST_P(WatchedDispatchSweep, MixedBinaryUnaryKArySigmaBitIdentical) {
@@ -126,26 +104,24 @@ TEST_P(WatchedDispatchSweep, MixedBinaryUnaryKArySigmaBitIdentical) {
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B)"));
   dcs.push_back(ChainDc3());
-  RunLockstepSweep(schema, dcs, 16,
-                   static_cast<uint64_t>(GetParam()) * 9 + 2, 12,
-                   "mixed seed=" + std::to_string(GetParam()));
+  RunSweep(schema, dcs, 16, static_cast<uint64_t>(GetParam()) * 9 + 2, 12,
+           "mixed seed=" + std::to_string(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WatchedDispatchSweep, ::testing::Range(0, 6));
 
 // An unblocked binary constraint (no cross-variable equality) must keep
-// probing every op even under watched dispatch — it has no keys to watch.
+// probing every op — it has no keys to watch.
 TEST(WatchedDispatch, UnblockedConstraintAlwaysProbes) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs;
   dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t'.A & t.B >= t'.B)"));
-  RunLockstepSweep(schema, dcs, 14, 87, 10, "unblocked");
+  RunSweep(schema, dcs, 14, 87, 10, "unblocked");
 }
 
 // Watched dispatch skips constraints whose watched key classes the changed
 // fact does not hit: inserting a fact with a unique A touches the A-keyed
-// FD's watcher map not at all, while the unwatched reference probes every
-// constraint on every op.
+// FD's watcher map not at all. Skipping loses no violation.
 TEST(WatchedDispatch, DispatchStatsCountSkips) {
   const auto schema = MakeAbcSchema();
   const std::vector<DenialConstraint> dcs = AbcFds(*schema);
@@ -154,8 +130,7 @@ TEST(WatchedDispatch, DispatchStatsCountSkips) {
   for (int64_t i = 0; i < 6; ++i) {
     db.Insert(Fact(0, {Value(100 + i), Value(7), Value(i % 2)}));
   }
-  IncrementalViolationIndex watched(schema, dcs, db, {},
-                                    IncrementalOptions{});
+  IncrementalViolationIndex watched(schema, dcs, db);
   EXPECT_GT(watched.NumWatchedKeys(), 0u);
   // A fresh fact with a never-seen A and the shared B: the A-keyed FD has
   // no watcher for its key, the B-keyed FD does.
@@ -165,12 +140,12 @@ TEST(WatchedDispatch, DispatchStatsCountSkips) {
   EXPECT_EQ(stats.num_ops, 1u);
   EXPECT_GT(stats.constraints_skipped, 0u);
   EXPECT_GT(stats.constraints_probed, 0u);
+  EXPECT_EQ(stats.constraints_probed + stats.constraints_skipped, dcs.size());
 
-  IncrementalViolationIndex unwatched(schema, dcs, db, {}, Unwatched());
-  unwatched.Apply(RepairOperation::Insertion(
-      Fact(0, {Value(999), Value(7), Value(5)})));
-  EXPECT_EQ(unwatched.dispatch_stats().constraints_skipped, 0u);
-  EXPECT_EQ(watched.NumMinimalSubsets(), unwatched.NumMinimalSubsets());
+  const ViolationSet fresh =
+      ViolationDetector(schema, dcs).FindViolations(watched.db());
+  EXPECT_EQ(watched.NumMinimalSubsets(), fresh.num_minimal_subsets());
+  EXPECT_EQ(watched.NumMinimalViolations(), fresh.num_minimal_violations());
 }
 
 // Per-constraint counters: probing accumulates, fires bump activity, and
@@ -181,8 +156,7 @@ TEST(WatchedDispatch, ConstraintStatsAccumulate) {
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(ChainDc3());
   const Database start = MakeRandomDatabase(schema, 0, 18, 2, 91);
-  IncrementalViolationIndex index(schema, dcs, start, {},
-                                  IncrementalOptions{});
+  IncrementalViolationIndex index(schema, dcs, start);
   ScriptedWorkload workload(92, WorkloadDomain(2));
   for (int step = 0; step < 20; ++step) {
     index.Apply(workload.Next(index.db()));
@@ -208,59 +182,51 @@ TEST(WatchedDispatch, FdWatcherCountSharedGroupNotDoubleCounted) {
   for (int64_t i = 0; i < 8; ++i) {
     db.Insert(Fact(0, {Value(i % 4), Value(i), Value(0)}));
   }
-  IncrementalViolationIndex index(schema, dcs, db, {}, IncrementalOptions{});
+  IncrementalViolationIndex index(schema, dcs, db);
   EXPECT_EQ(index.ConstraintStatsFor(0).watcher_count, 4u);
 }
 
-// Measure-level parity through the session API: a watched session and an
-// unwatched session applying the same trajectory report bit-identical
-// measures, matching a fresh engine, with zero full-detection fallbacks.
+// Measure-level parity through the session API: a session applying a
+// random trajectory reports the same measures as a fresh engine over an
+// equal database, with zero full-detection fallbacks.
 TEST(WatchedDispatch, SessionMeasureParity) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(ChainDc3());
   const Database start = MakeRandomDatabase(schema, 0, 18, 3, 131);
 
-  MeasureSessionOptions watched_options;
-  MeasureSessionOptions unwatched_options;
-  unwatched_options.incremental = Unwatched();
-  MeasureSession watched(schema, dcs, watched_options);
-  MeasureSession unwatched(schema, dcs, unwatched_options);
-  const MeasureEngine fresh(schema, dcs, watched_options);
+  const MeasureSessionOptions options;
+  MeasureSession session(schema, dcs, options);
+  const MeasureEngine fresh(schema, dcs, options);
 
-  const DbHandle wh = watched.Register(start);
-  const DbHandle uh = unwatched.Register(start);
+  const DbHandle handle = session.Register(start);
   Database mirror = start;
   ScriptedWorkload workload(132, WorkloadDomain(3));
   for (int step = 0; step < 24; ++step) {
     const RepairOperation op = workload.Next(mirror);
-    watched.Apply(wh, op);
-    unwatched.Apply(uh, op);
+    session.Apply(handle, op);
     op.ApplyInPlace(mirror);
     if (step % 6 != 5) continue;
     const BatchReport expected = fresh.EvaluateAll(mirror);
-    for (const MeasureSession* session : {&watched, &unwatched}) {
-      const BatchReport actual =
-          session->Evaluate(session == &watched ? wh : uh);
-      EXPECT_EQ(expected.num_minimal_subsets, actual.num_minimal_subsets)
-          << "step " << step;
-      ASSERT_EQ(expected.measures.size(), actual.measures.size());
-      for (size_t m = 0; m < expected.measures.size(); ++m) {
-        EXPECT_EQ(expected.measures[m].name, actual.measures[m].name);
-        EXPECT_EQ(expected.measures[m].value, actual.measures[m].value)
-            << "step " << step << " " << expected.measures[m].name;
-      }
+    const BatchReport actual = session.Evaluate(handle);
+    EXPECT_EQ(expected.num_minimal_subsets, actual.num_minimal_subsets)
+        << "step " << step;
+    ASSERT_EQ(expected.measures.size(), actual.measures.size());
+    for (size_t m = 0; m < expected.measures.size(); ++m) {
+      EXPECT_EQ(expected.measures[m].name, actual.measures[m].name);
+      EXPECT_EQ(expected.measures[m].value, actual.measures[m].value)
+          << "step " << step << " " << expected.measures[m].name;
     }
   }
-  EXPECT_EQ(watched.num_full_detections(), 0u);
-  EXPECT_EQ(unwatched.num_full_detections(), 0u);
+  EXPECT_EQ(session.num_full_detections(), 0u);
   // The session surfaces per-constraint stats for the handle.
-  const std::vector<SessionConstraintStats> stats = watched.ConstraintStats(wh);
+  const std::vector<SessionConstraintStats> stats =
+      session.ConstraintStats(handle);
   ASSERT_EQ(stats.size(), dcs.size());
   for (const SessionConstraintStats& s : stats) {
     EXPECT_FALSE(s.constraint.empty());
   }
-  EXPECT_GT(watched.DispatchStats(wh).num_ops, 0u);
+  EXPECT_GT(session.DispatchStats(handle).num_ops, 0u);
 }
 
 // Concurrent watched mutation: independent handles Apply from their own
@@ -272,7 +238,7 @@ TEST(WatchedDispatchConcurrency, ConcurrentWatchedHandlesMatchSequential) {
   const auto schema = MakeAbcSchema();
   std::vector<DenialConstraint> dcs = AbcFds(*schema);
   dcs.push_back(ChainDc3());
-  MeasureSessionOptions options;  // watched + pruned defaults
+  MeasureSessionOptions options;
   options.auto_vacuum_threshold = 0.3;
 
   constexpr size_t kHandles = 3;

@@ -17,6 +17,7 @@
 // load0 at the given minimal-subset threshold (default 0) for the duration
 // of the run and reports how many crossing notifications the server pushed.
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -50,6 +51,35 @@ bool HasFlag(int argc, char** argv, const char* name) {
   return false;
 }
 
+// Reads --name=N (default `fallback`) into *out. A non-numeric or
+// out-of-range value (above `max`) is rejected with an error line and
+// false — never silently truncated to a wrong number.
+template <typename T>
+bool UintFlag(int argc, char** argv, const char* name, const char* fallback,
+              uint64_t max, T* out) {
+  const std::string value = FlagValue(argc, argv, name, fallback);
+  uint64_t parsed = 0;
+  if (!ParseUint(value, max, &parsed)) {
+    std::fprintf(stderr,
+                 "dbim_loadgen: invalid --%s=%s (want an integer in "
+                 "[0, %llu])\n",
+                 name, value.c_str(), static_cast<unsigned long long>(max));
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
+}
+
+int Usage() {
+  std::fprintf(
+      stderr,
+      "usage: dbim_loadgen --port=7411 [--host=127.0.0.1] [--clients=4]\n"
+      "                    [--sessions=2] [--ops=1000] [--pipeline=16]\n"
+      "                    [--evaluate-every=8] [--seed=7] [--json] [--stats]\n"
+      "                    [--attach] [--subscribe[=THRESHOLD]]\n");
+  return 2;
+}
+
 /// Connects with retries so the generator can be launched right after the
 /// daemon (the CI smoke test does) without racing its listen().
 bool ConnectWithRetry(ServiceClient* client, const std::string& host,
@@ -72,22 +102,23 @@ struct ClientOutcome {
 
 int main(int argc, char** argv) {
   const std::string host = FlagValue(argc, argv, "host", "127.0.0.1");
-  const uint16_t port = static_cast<uint16_t>(
-      std::strtoul(FlagValue(argc, argv, "port", "7411").c_str(), nullptr,
-                   10));
-  const size_t num_clients = std::strtoull(
-      FlagValue(argc, argv, "clients", "4").c_str(), nullptr, 10);
-  const size_t num_sessions = std::strtoull(
-      FlagValue(argc, argv, "sessions", "2").c_str(), nullptr, 10);
-  const size_t num_ops = std::strtoull(
-      FlagValue(argc, argv, "ops", "1000").c_str(), nullptr, 10);
-  const uint64_t seed = std::strtoull(
-      FlagValue(argc, argv, "seed", "7").c_str(), nullptr, 10);
+  uint16_t port = 0;
+  size_t num_clients = 0;
+  size_t num_sessions = 0;
+  size_t num_ops = 0;
+  uint64_t seed = 0;
   ServiceWorkloadOptions workload;
-  workload.pipeline_depth = std::strtoull(
-      FlagValue(argc, argv, "pipeline", "16").c_str(), nullptr, 10);
-  workload.evaluate_every = std::strtoull(
-      FlagValue(argc, argv, "evaluate-every", "8").c_str(), nullptr, 10);
+  if (!UintFlag(argc, argv, "port", "7411", UINT16_MAX, &port) ||
+      !UintFlag(argc, argv, "clients", "4", SIZE_MAX, &num_clients) ||
+      !UintFlag(argc, argv, "sessions", "2", SIZE_MAX, &num_sessions) ||
+      !UintFlag(argc, argv, "ops", "1000", SIZE_MAX, &num_ops) ||
+      !UintFlag(argc, argv, "seed", "7", UINT64_MAX, &seed) ||
+      !UintFlag(argc, argv, "pipeline", "16", SIZE_MAX,
+                &workload.pipeline_depth) ||
+      !UintFlag(argc, argv, "evaluate-every", "8", SIZE_MAX,
+                &workload.evaluate_every)) {
+    return Usage();
+  }
   if (num_clients == 0 || num_sessions == 0) {
     std::fprintf(stderr, "need --clients and --sessions >= 1\n");
     return 2;

@@ -24,9 +24,9 @@
 // --example serves the paper's running-example schema and FDs (no spec
 // file needed — what the CI smoke test and loadgen examples use).
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <ctime>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -54,6 +54,25 @@ bool HasFlag(int argc, char** argv, const char* name) {
     if (flag == argv[i]) return true;
   }
   return false;
+}
+
+// Reads --name=N into *out when the flag is present. A non-numeric or
+// out-of-range value (above `max`, e.g. a port past 65535) is rejected
+// with an error line and false — never silently truncated to a wrong
+// number.
+template <typename T>
+bool UintFlag(int argc, char** argv, const char* name, uint64_t max, T* out) {
+  const std::string value = FlagValue(argc, argv, name);
+  if (value.empty()) return true;
+  uint64_t parsed = 0;
+  if (!ParseUint(value, max, &parsed)) {
+    std::fprintf(stderr,
+                 "dbimd: invalid --%s=%s (want an integer in [0, %llu])\n",
+                 name, value.c_str(), static_cast<unsigned long long>(max));
+    return false;
+  }
+  *out = static_cast<T>(parsed);
+  return true;
 }
 
 int Usage() {
@@ -103,18 +122,10 @@ int main(int argc, char** argv) {
 
   ServiceOptions options;
   options.port = 7411;
-  const std::string port_flag = FlagValue(argc, argv, "port");
-  if (!port_flag.empty()) {
-    options.port =
-        static_cast<uint16_t>(std::strtoul(port_flag.c_str(), nullptr, 10));
-  }
-  const std::string workers_flag = FlagValue(argc, argv, "workers");
-  if (!workers_flag.empty()) {
-    options.num_workers = std::strtoull(workers_flag.c_str(), nullptr, 10);
-  }
-  const std::string queue_flag = FlagValue(argc, argv, "queue");
-  if (!queue_flag.empty()) {
-    options.queue_capacity = std::strtoull(queue_flag.c_str(), nullptr, 10);
+  if (!UintFlag(argc, argv, "port", UINT16_MAX, &options.port) ||
+      !UintFlag(argc, argv, "workers", SIZE_MAX, &options.num_workers) ||
+      !UintFlag(argc, argv, "queue", SIZE_MAX, &options.queue_capacity)) {
+    return Usage();
   }
   options.session = SessionOptionsFromFlags(argc, argv);
 
@@ -125,15 +136,11 @@ int main(int argc, char** argv) {
   if (!data_dir.empty()) {
     storage::DurabilityOptions durability;
     durability.sync = !HasFlag(argc, argv, "no-sync");
-    const std::string batch_flag = FlagValue(argc, argv, "wal-batch");
-    if (!batch_flag.empty()) {
-      durability.group_commit_max_ops =
-          std::strtoull(batch_flag.c_str(), nullptr, 10);
-    }
-    const std::string ckpt_flag = FlagValue(argc, argv, "checkpoint-bytes");
-    if (!ckpt_flag.empty()) {
-      durability.checkpoint_wal_bytes =
-          std::strtoull(ckpt_flag.c_str(), nullptr, 10);
+    if (!UintFlag(argc, argv, "wal-batch", SIZE_MAX,
+                  &durability.group_commit_max_ops) ||
+        !UintFlag(argc, argv, "checkpoint-bytes", UINT64_MAX,
+                  &durability.checkpoint_wal_bytes)) {
+      return Usage();
     }
     store = std::make_unique<storage::DurableSessionStore>(
         spec.schema, storage::CreateFlatFileBackend(data_dir), durability);
