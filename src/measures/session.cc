@@ -94,31 +94,15 @@ size_t MeasureSession::num_stored_subset_slots(DbHandle handle) const {
   return state.incremental ? state.incremental->NumStoredSlots() : 0;
 }
 
-std::vector<SessionConstraintStats> MeasureSession::ConstraintStats(
+std::vector<ConstraintStats> MeasureSession::ConstraintStats(
     DbHandle handle) const {
   std::shared_lock<std::shared_mutex> lock(session_mu_);
   const HandleState& state = State(handle);
   std::lock_guard<std::mutex> handle_lock(state.mu);
-  const std::vector<DenialConstraint>& constraints = detector_.constraints();
-  std::vector<SessionConstraintStats> out;
-  out.reserve(constraints.size());
-  for (size_t c = 0; c < constraints.size(); ++c) {
-    SessionConstraintStats s;
-    s.constraint = constraints[c].ToString(*schema_);
-    if (state.incremental) {
-      const IncrementalConstraintStats ics =
-          state.incremental->ConstraintStatsFor(c);
-      s.num_probes = ics.num_probes;
-      s.num_fires = ics.num_fires;
-      s.activity = ics.activity;
-      s.watcher_count = ics.watcher_count;
-    } else {
-      const DetectorConstraintStats dcs = detector_.constraint_stats(c);
-      s.num_probes = dcs.num_probes;
-      s.num_fires = dcs.num_fires;
-      s.activity = dcs.activity;
-    }
-    out.push_back(std::move(s));
+  std::vector<dbim::ConstraintStats> out(detector_.constraints().size());
+  for (size_t c = 0; c < out.size(); ++c) {
+    out[c] = state.incremental ? state.incremental->ConstraintStatsFor(c)
+                               : detector_.constraint_stats(c);
   }
   return out;
 }
@@ -279,23 +263,14 @@ BatchReport MeasureSession::Evaluate(DbHandle handle) const {
 
 std::vector<BatchReport> MeasureSession::EvaluateAll(
     const std::vector<DbHandle>& handles) const {
-  // Validate on this thread (DBIM_CHECK aborts are not for workers), then
-  // fan out: one report per handle, each worker holding that handle's
-  // lock — per-handle results are bit-identical to Evaluate(). The shared
-  // session lock is held across the fan-out, so the handle table and pool
-  // identity are stable underneath the workers.
+  // One shared session lock across the loop, so the handle table and pool
+  // identity are stable for the whole batch.
   std::shared_lock<std::shared_mutex> lock(session_mu_);
-  std::vector<const HandleState*> states;
-  states.reserve(handles.size());
-  for (const DbHandle handle : handles) states.push_back(&State(handle));
-  std::vector<BatchReport> reports(handles.size());
-  const size_t threads = options_.batch_threads == 0
-                             ? ThreadPool::HardwareThreads()
-                             : options_.batch_threads;
-  OrderedParallelFor(
-      threads, handles.size(),
-      [&](size_t i) { reports[i] = EvaluateState(*states[i]); },
-      [](size_t) { return true; });
+  std::vector<BatchReport> reports;
+  reports.reserve(handles.size());
+  for (const DbHandle handle : handles) {
+    reports.push_back(EvaluateState(State(handle)));
+  }
   return reports;
 }
 
@@ -381,14 +356,16 @@ bool MeasureSession::VacuumLocked(double waste_threshold) {
   return compacted;
 }
 
-TablePrinter ConstraintStatsTable(
-    const std::vector<SessionConstraintStats>& stats) {
-  TablePrinter table({"constraint", "probes", "fires", "activity",
-                      "watchers"});
-  for (const SessionConstraintStats& s : stats) {
-    table.AddRow({s.constraint, std::to_string(s.num_probes),
-                  std::to_string(s.num_fires), TablePrinter::Num(s.activity),
-                  std::to_string(s.watcher_count)});
+TablePrinter ConstraintStatsTable(const ViolationDetector& detector,
+                                  const std::vector<ConstraintStats>& stats) {
+  const std::vector<DenialConstraint>& constraints = detector.constraints();
+  DBIM_CHECK(stats.size() == constraints.size());
+  TablePrinter table({"constraint", "probes", "fires", "watchers"});
+  for (size_t c = 0; c < stats.size(); ++c) {
+    table.AddRow({constraints[c].ToString(detector.schema()),
+                  std::to_string(stats[c].num_probes),
+                  std::to_string(stats[c].num_fires),
+                  std::to_string(stats[c].watcher_count)});
   }
   return table;
 }

@@ -104,14 +104,6 @@ struct SessionOptions {
   /// detector.num_threads, which parallelizes the detection pass itself.
   bool parallel_measures = false;
 
-  /// Worker threads for the cross-database fan-out in EvaluateAll (batch
-  /// evaluation of several handles): 1 = sequential, 0 = one per hardware
-  /// thread. Per-handle reports are computed independently (each worker
-  /// holds its handle's lock), so results are bit-identical for every
-  /// value. Composes with detector.num_threads and parallel_measures
-  /// (nested fan-out on the process-wide pool cannot deadlock).
-  size_t batch_threads = 1;
-
   /// Auto-vacuum hook: when > 0, Apply periodically checks the shared
   /// pool's waste (the fraction of dictionary entries no registered
   /// database references — sustained value churn grows it) and, past the
@@ -144,10 +136,6 @@ struct SessionOptions {
   }
   SessionOptions& WithParallelMeasures(bool on = true) {
     parallel_measures = on;
-    return *this;
-  }
-  SessionOptions& WithBatchThreads(size_t n) {
-    batch_threads = n;
     return *this;
   }
   /// Restricts evaluation to one more named measure.
@@ -217,20 +205,6 @@ struct BatchReport {
   const MeasureResult* Find(const std::string& name) const;
 };
 
-/// Per-constraint maintenance counters surfaced by
-/// MeasureSession::ConstraintStats: partner candidates examined (probes),
-/// subsets contributed (fires), the decayed activity score ordering
-/// hottest-first probing, and the constraint's live watcher/bucket-key
-/// footprint. From the handle's incremental index when one exists,
-/// otherwise from the shared detector's cumulative pass-2 counters.
-struct SessionConstraintStats {
-  std::string constraint;  // rendered denial constraint
-  uint64_t num_probes = 0;
-  uint64_t num_fires = 0;
-  double activity = 0.0;
-  size_t watcher_count = 0;
-};
-
 /// A long-lived, multi-database evaluation session: owns (Sigma, the
 /// instantiated measure registry, options) plus one shared ValuePool for
 /// every database registered with it.
@@ -255,9 +229,8 @@ struct SessionConstraintStats {
 ///    maintenance the "detection" step is a snapshot of the maintained
 ///    set. Reports are bit-identical to a fresh MeasureEngine over an
 ///    equal database;
-///  * `EvaluateAll(handles)` batch-schedules evaluation across databases
-///    on the process-wide thread pool (pipeline parallelism over e.g. a
-///    trajectory's sample points);
+///  * `EvaluateAll(handles)` evaluates several databases in one call
+///    under one shared session lock (e.g. a trajectory's sample points);
 ///  * the auto-vacuum hook compacts the shared pool (and the incremental
 ///    indices' dead slots) during long mutation loops, remapping all
 ///    registered databases together.
@@ -327,9 +300,9 @@ class MeasureSession {
   /// set is snapshotted instead.
   BatchReport Evaluate(DbHandle handle) const;
 
-  /// Batch evaluation across databases: one report per handle, scheduled
-  /// on the process-wide pool (options.batch_threads). Reports are
-  /// bit-identical to calling Evaluate per handle.
+  /// Batch evaluation across databases: one report per handle, in order,
+  /// on the calling thread. Reports are bit-identical to calling Evaluate
+  /// per handle.
   std::vector<BatchReport> EvaluateAll(
       const std::vector<DbHandle>& handles) const;
 
@@ -413,8 +386,10 @@ class MeasureSession {
       DbHandle handle) const;
 
   /// Per-constraint probe/fire/watcher counters for the handle, one entry
-  /// per constraint in registration order (see SessionConstraintStats).
-  std::vector<SessionConstraintStats> ConstraintStats(DbHandle handle) const;
+  /// per constraint in registration order: from the handle's incremental
+  /// index when it has one (Apply-time counters plus watched keys),
+  /// otherwise the shared detector's cumulative detection counters.
+  std::vector<dbim::ConstraintStats> ConstraintStats(DbHandle handle) const;
 
   /// Watched-dispatch totals of the handle's incremental index (ops
   /// applied, constraints probed vs skipped); zeros without an index.
@@ -461,12 +436,14 @@ class MeasureSession {
   mutable std::atomic<size_t> num_full_detections_{0};
 };
 
-/// Renders per-constraint stats rows as a table — header {constraint,
-/// probes, fires, activity, watchers} — so every surface that reports them
-/// (dbim_cli --stats, the service STATS verb, the load generator) shares
-/// one text and one machine-readable (TablePrinter::ToJson) form.
-TablePrinter ConstraintStatsTable(
-    const std::vector<SessionConstraintStats>& stats);
+/// Renders per-constraint stats (one entry per constraint of `detector`,
+/// in order) as a table — header {constraint, probes, fires, watchers},
+/// each constraint rendered against the detector's schema — so every
+/// surface that reports them (dbim_cli --stats, the service STATS verb,
+/// the load generator) shares one text and one machine-readable
+/// (TablePrinter::ToJson) form.
+TablePrinter ConstraintStatsTable(const ViolationDetector& detector,
+                                  const std::vector<ConstraintStats>& stats);
 
 }  // namespace dbim
 

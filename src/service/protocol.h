@@ -61,7 +61,10 @@ namespace dbim {
 ///   t EVALUATE_ALL             ; ITEM <session> <facts> <subsets> <trunc01>
 ///                              ;      (<m> <v>)*   — then OK <count>
 ///   t STATS <session>          ; OK <constraint-stats-json>
-///                              ;    <durability-stats-json>
+///                              ;    <durability-stats-json> — one
+///                              ;   constraint-stats row per constraint
+///                              ;   with columns constraint, probes,
+///                              ;   fires, watchers
 ///   t DUMP <session>           ; ITEM <fact-id> <value>... — then OK <count>
 ///   t UNREGISTER <session>     ; OK
 ///   t VACUUM <threshold>       ; OK <0|1>  (1 = pool compaction ran)

@@ -477,7 +477,7 @@ void ServiceServer::HandleCheckpoint(const std::shared_ptr<Connection>& conn,
 void ServiceServer::HandleEvaluateAll(const std::shared_ptr<Connection>& conn,
                                       const Request& request) {
   // Holds the scheduler lock across the batch so no tenant can be
-  // unregistered (and its handle freed) underneath the fan-out. New
+  // unregistered (and its handle freed) underneath the batch. New
   // admissions stall for the evaluation only — every reply is
   // formatted under the lock but SENT after it drops, so a client
   // that stops reading blocks its own reader thread, never sched_mu_.
@@ -687,8 +687,8 @@ void ServiceServer::NotifySubscribers(const std::shared_ptr<Tenant>& tenant) {
 
 void ServiceServer::HandleStats(const std::shared_ptr<Tenant>& tenant,
                                 PendingOp op) {
-  const TablePrinter table =
-      ConstraintStatsTable(session_.ConstraintStats(tenant->handle));
+  const TablePrinter table = ConstraintStatsTable(
+      session_.detector(), session_.ConstraintStats(tenant->handle));
   op.conn->Send(Response::Ok(
       op.request.tag, {EncodeToken(table.ToJson("constraint_stats")),
                        EncodeToken(DurabilityJson())}));

@@ -1,5 +1,6 @@
 #include "service/spec.h"
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -104,7 +105,8 @@ ServiceSpec ExampleSpec() {
   return spec;
 }
 
-SessionOptions SessionOptionsFromFlags(int argc, char** argv) {
+bool SessionOptionsFromFlags(int argc, char** argv, SessionOptions* options,
+                             std::string* error) {
   auto flag_value = [&](const char* name) -> std::string {
     const std::string prefix = std::string("--") + name + "=";
     for (int i = 1; i < argc; ++i) {
@@ -120,34 +122,47 @@ SessionOptions SessionOptionsFromFlags(int argc, char** argv) {
     return false;
   };
 
-  SessionOptions options;
+  *options = SessionOptions();
   const std::string threads = flag_value("threads");
   if (!threads.empty()) {
-    options.WithThreads(std::strtoull(threads.c_str(), nullptr, 10));
+    uint64_t n = 0;
+    if (!ParseUint(threads, SIZE_MAX, &n)) {
+      *error = "invalid --threads=" + threads + " (want an integer >= 0)";
+      return false;
+    }
+    options->WithThreads(n);
   }
-  options.WithIncludeMC(has_flag("mc"))
+  options->WithIncludeMC(has_flag("mc"))
       .WithParallelMeasures(has_flag("parallel-measures"));
   for (const std::string& name : Split(flag_value("measures"), ',')) {
-    if (!name.empty()) options.WithMeasure(name);
+    if (!name.empty()) options->WithMeasure(name);
   }
   const std::string window = flag_value("window");
   if (!window.empty()) {
-    // "count:N" or "ticks:N"; anything else is ignored (window disabled).
     const std::vector<std::string> parts = Split(window, ':');
-    if (parts.size() == 2) {
-      const uint64_t size = std::strtoull(parts[1].c_str(), nullptr, 10);
-      if (parts[0] == "count") {
-        options.WithWindow(WindowSpec::Kind::kCount, size);
-      } else if (parts[0] == "ticks") {
-        options.WithWindow(WindowSpec::Kind::kTicks, size);
-      }
+    uint64_t size = 0;
+    if (parts.size() != 2 || (parts[0] != "count" && parts[0] != "ticks") ||
+        !ParseUint(parts[1], UINT64_MAX, &size) || size == 0) {
+      *error = "invalid --window=" + window +
+               " (want count:N or ticks:N with N >= 1)";
+      return false;
     }
+    options->WithWindow(parts[0] == "count" ? WindowSpec::Kind::kCount
+                                            : WindowSpec::Kind::kTicks,
+                        size);
   }
   const std::string approx = flag_value("approx");
   if (!approx.empty()) {
-    options.WithApprox(std::strtod(approx.c_str(), nullptr));
+    char* end = nullptr;
+    const double eps = std::strtod(approx.c_str(), &end);
+    // The negated comparison also rejects NaN; eps > 1 rejects +inf.
+    if (end != approx.c_str() + approx.size() || !(eps > 0.0) || eps > 1.0) {
+      *error = "invalid --approx=" + approx + " (want a number in (0, 1])";
+      return false;
+    }
+    options->WithApprox(eps);
   }
-  return options;
+  return true;
 }
 
 }  // namespace dbim

@@ -55,7 +55,14 @@ ServiceSpec ExampleSpec();
 ///                         logical ticks (see streaming/stream_session.h)
 ///   --approx=EPS          sampling-based estimators with absolute-rate
 ///                         error EPS in (0, 1] (see streaming/approx.h)
-SessionOptions SessionOptionsFromFlags(int argc, char** argv);
+///
+/// Returns false and sets *error, naming the flag, on a value that does
+/// not parse (a non-numeric or negative N, a window kind other than count
+/// or ticks or a zero window size, an EPS outside (0, 1]) — never a silent
+/// fallback to a different setting. *options is unspecified after a
+/// failure.
+bool SessionOptionsFromFlags(int argc, char** argv, SessionOptions* options,
+                             std::string* error);
 
 }  // namespace dbim
 

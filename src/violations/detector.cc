@@ -54,11 +54,6 @@ struct DetectionState {
 // a phase on one fat chunk.
 constexpr size_t kMinProbeChunkRows = 64;
 
-// Geometric decay applied to every constraint's activity score once per
-// detection, so the score tracks recent fire history rather than all-time
-// totals.
-constexpr double kActivityDecay = 0.95;
-
 // Parallel-path scaffolding shared by the sharded phases (pass-1 scan,
 // k-ary enumeration, binary probe): work-stealing workers
 // run `shard(range, buffer)` over scheduler-chosen sub-ranges of [0, n) —
@@ -412,13 +407,13 @@ ViolationDetector::ViolationDetector(std::shared_ptr<const Schema> schema,
       constraints_(std::move(constraints)),
       options_(options) {
   DBIM_CHECK(schema_ != nullptr);
-  activity_.resize(constraints_.size());
+  stats_.resize(constraints_.size());
 }
 
-DetectorConstraintStats ViolationDetector::constraint_stats(size_t c) const {
-  DBIM_CHECK(c < activity_.size());
-  std::lock_guard<std::mutex> lock(activity_mu_);
-  return activity_[c];
+ConstraintStats ViolationDetector::constraint_stats(size_t c) const {
+  DBIM_CHECK(c < stats_.size());
+  std::lock_guard<std::mutex> lock(stats_mu_);
+  return stats_[c];
 }
 
 ViolationSet ViolationDetector::Detect(const Database& db,
@@ -500,11 +495,6 @@ ViolationSet ViolationDetector::Detect(const Database& db,
   // Pass 2: binary constraints through the narrowed block probe; k-ary
   // constraints through the kernel's sharded enumeration. Constraints
   // probe in ascending index order.
-  {
-    std::lock_guard<std::mutex> lock(activity_mu_);
-    for (DetectorConstraintStats& a : activity_) a.activity *= kActivityDecay;
-  }
-
   std::vector<std::vector<FactId>> kary_candidates;
   // Probes one pass-2 constraint. `probes` counts candidates reaching the
   // merge point, `fires` subsets admitted into the result; k-ary candidates
@@ -662,10 +652,9 @@ ViolationSet ViolationDetector::Detect(const Database& db,
     uint64_t probes = 0;
     uint64_t fires = 0;
     probe_constraint(dc, probes, fires);
-    std::lock_guard<std::mutex> lock(activity_mu_);
-    activity_[dci].num_probes += probes;
-    activity_[dci].num_fires += fires;
-    activity_[dci].activity += static_cast<double>(fires);
+    std::lock_guard<std::mutex> lock(stats_mu_);
+    stats_[dci].num_probes += probes;
+    stats_[dci].num_fires += fires;
   }
 
   // Pass 3: minimality filter for k-ary candidate supports. A candidate

@@ -50,15 +50,22 @@ struct DetectorOptions {
   size_t num_threads = 1;
 };
 
-/// Cumulative per-constraint detection counters: candidate subsets merged
-/// (probes) and subsets admitted into the result (fires) on behalf of one
-/// constraint, plus an activity score — fires, decayed by a constant
-/// factor per detection — that tracks which constraints fire recently.
-struct DetectorConstraintStats {
+/// Per-constraint counters, one record shared by every layer that reports
+/// them. `num_probes` counts the candidates examined on behalf of the
+/// constraint and `num_fires` the violation subsets it contributed:
+/// cumulative over every detection pass for ViolationDetector, over
+/// Apply-time maintenance for IncrementalViolationIndex (see each
+/// accessor). `watcher_count` is the constraint's live watched-key count
+/// in an incremental index, 0 from the batch detector.
+struct ConstraintStats {
   uint64_t num_probes = 0;
   uint64_t num_fires = 0;
-  double activity = 0.0;
+  size_t watcher_count = 0;
 };
+
+// Older spelling of ConstraintStats, still named by the end-to-end
+// benchmark; goes at the next change to the benchmark.
+using DetectorConstraintStats = ConstraintStats;
 
 /// Computes MI_Sigma(D) for a set of denial constraints — the exact result
 /// set of the paper's `SELECT DISTINCT R1.ID, R2.ID FROM R R1, R R2 WHERE
@@ -87,9 +94,9 @@ class ViolationDetector {
   /// the prioritization example.
   ViolationSet FindViolationsInvolving(const Database& db, FactId id) const;
 
-  /// Cumulative counters for constraint `c` across every detection this
-  /// detector has run. Thread-safe.
-  DetectorConstraintStats constraint_stats(size_t c) const;
+  /// Cumulative probe/fire counters for constraint `c` across every
+  /// detection this detector has run (watcher_count stays 0). Thread-safe.
+  ConstraintStats constraint_stats(size_t c) const;
 
  private:
   /// Shared detection pipeline; `options` may differ from options_ (e.g.
@@ -101,11 +108,11 @@ class ViolationDetector {
   std::vector<DenialConstraint> constraints_;
   DetectorOptions options_;
 
-  // Pass-2 activity bookkeeping: decayed once per detection, bumped by each
-  // constraint's admitted subsets. Detect is const and may run concurrently
-  // from session threads, so updates are mutex-guarded.
-  mutable std::mutex activity_mu_;
-  mutable std::vector<DetectorConstraintStats> activity_;
+  // Pass-2 counters, bumped once per constraint per detection. Detect is
+  // const and may run concurrently from session threads, so updates are
+  // mutex-guarded.
+  mutable std::mutex stats_mu_;
+  mutable std::vector<ConstraintStats> stats_;
 };
 
 }  // namespace dbim

@@ -8,15 +8,6 @@
 #include "violations/eval_kernel.h"
 
 namespace dbim {
-namespace {
-
-// Exponential decay of the hottest-first probe order, applied once per
-// probing op via a geometric bump increment (MiniSat's trick: growing the
-// increment decays every older bump implicitly, O(1) per op instead of
-// O(|Sigma|)).
-constexpr double kActivityDecay = 0.95;
-
-}  // namespace
 
 IncrementalViolationIndex::IncrementalViolationIndex(
     std::shared_ptr<const Schema> schema,
@@ -80,7 +71,7 @@ void IncrementalViolationIndex::BuildDispatchTables() {
   sigs_by_rel_.assign(num_rels, {});
   watch_probes_by_rel_.assign(num_rels, {});
   probe_sig_.assign(constraints_.size(), {-1, -1});
-  activity_.assign(constraints_.size(), {});
+  stats_.assign(constraints_.size(), {});
   kary_indexes_.resize(constraints_.size());
 
   // Constraints are visited in ascending index and a constraint's entries
@@ -187,22 +178,6 @@ void IncrementalViolationIndex::BuildDispatchTables() {
                      [](const WatchProbe& a, const WatchProbe& b) {
                        return a.sig < b.sig;
                      });
-  }
-}
-
-void IncrementalViolationIndex::DecayActivityTick() {
-  activity_increment_ *= 1.0 / kActivityDecay;
-  if (activity_increment_ > 1e100) {
-    for (ActivityState& a : activity_) a.activity /= activity_increment_;
-    activity_increment_ = 1.0;
-  }
-}
-
-void IncrementalViolationIndex::BumpActivity(size_t c, uint64_t fires) {
-  activity_[c].fires += fires;
-  if (fires > 0) {
-    activity_[c].activity +=
-        activity_increment_ * static_cast<double>(fires);
   }
 }
 
@@ -411,12 +386,12 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
   const Database::RowLocation loc = db_->Locate(id);
   const RowRef self{&db_->relation_block(loc.relation), loc.row};
 
-  // Collects `id`'s partners under constraint `c` in the canonical
-  // discovery order (side-0 probe then side-1, bucket order within), with
-  // the per-constraint pair dedup no matter how many orientations match.
-  // Pure read — commits happen after, so the *probing* order is free while
-  // the commit order stays canonical.
-  auto collect = [&](uint32_t c, std::vector<FactId>* partners) {
+  // Commits `id`'s pairs under constraint `c` in the canonical discovery
+  // order (side-0 probe then side-1, bucket order within), with the
+  // per-constraint pair dedup no matter how many orientations match.
+  // Committing touches only the stored subsets, never the buckets or the
+  // self-inconsistent set the probe reads.
+  auto probe = [&](uint32_t c) {
     const DenialConstraint& dc = constraints_[c];
     const DcState& state = dc_states_[c];
     const DcEval& eval = evals[c];
@@ -433,7 +408,7 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
       assignment[id_is_var0 ? 1 : 0] = partner;
       if (!eval.BodyHolds(assignment)) return;
       hit.insert(other);
-      partners->push_back(other);
+      IndexSubset({id, other}, 1);
     };
     // The probe hashes its own side's key attributes; equal key values mean
     // equal semantic hashes, so the partner side's bucket is the candidate
@@ -467,7 +442,8 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
         }
       }
     }
-    activity_[c].probes += probes;
+    stats_[c].num_probes += probes;
+    stats_[c].num_fires += hit.size();
   };
 
   // Watched dispatch: one signature hash per distinct key shape over the
@@ -498,28 +474,9 @@ void IncrementalViolationIndex::ProbeBinary(const std::vector<DcEval>& evals,
   dispatch_stats_.constraints_skipped +=
       binary_by_rel_[loc.relation].size() - candidates.size();
 
-  // Probe hottest-first (decayed activity, ties by ascending index), but
-  // commit in ascending constraint order: slot allocation, and with it
-  // Snapshot order, does not depend on the activity history.
-  std::vector<uint32_t>& probe_order = probe_order_;
-  probe_order.assign(candidates.begin(), candidates.end());
-  std::stable_sort(probe_order.begin(), probe_order.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     return activity_[a].activity > activity_[b].activity;
-                   });
-  std::vector<std::pair<uint32_t, std::vector<FactId>>>& found = probe_found_;
-  found.clear();
-  for (const uint32_t c : probe_order) {
-    std::vector<FactId> partners;
-    collect(c, &partners);
-    BumpActivity(c, partners.size());
-    if (!partners.empty()) found.emplace_back(c, std::move(partners));
-  }
-  std::sort(found.begin(), found.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [c, partners] : found) {
-    for (const FactId other : partners) IndexSubset({id, other}, 1);
-  }
+  // Ascending constraint order: slot allocation, and with it Snapshot
+  // order, is canonical.
+  for (const uint32_t c : candidates) probe(c);
 }
 
 void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
@@ -546,8 +503,8 @@ void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
     } else {
       EnumerateKAryAnchored(evals[c], *db_, id, emit);
     }
-    activity_[c].probes += emissions;
-    BumpActivity(c, emissions);
+    stats_[c].num_probes += emissions;
+    stats_[c].num_fires += emissions;
   }
   if (counts.empty()) return;
   // Pass-3 candidate order — size-major, lexicographic within a size class
@@ -576,7 +533,6 @@ void IncrementalViolationIndex::ProbeKAry(const std::vector<DcEval>& evals,
 void IncrementalViolationIndex::ProbeFact(const std::vector<DcEval>& evals,
                                           FactId id) {
   ++dispatch_stats_.num_ops;
-  DecayActivityTick();
   if (self_inconsistent_.count(id) > 0) {
     // The only minimal subset through a contradictory fact is its
     // singleton: one derivation for the pass-1 Add, plus one per k-ary
@@ -671,16 +627,9 @@ void IncrementalViolationIndex::CompactSlots() {
   }
 }
 
-IncrementalConstraintStats IncrementalViolationIndex::ConstraintStatsFor(
-    size_t c) const {
+ConstraintStats IncrementalViolationIndex::ConstraintStatsFor(size_t c) const {
   DBIM_CHECK(c < constraints_.size());
-  IncrementalConstraintStats out;
-  const ActivityState& a = activity_[c];
-  out.num_probes = a.probes;
-  out.num_fires = a.fires;
-  // Normalize by the geometric increment so reported activities are in
-  // current-op units and comparable across constraints.
-  out.activity = a.activity / activity_increment_;
+  ConstraintStats out = stats_[c];
   const DenialConstraint& dc = constraints_[c];
   if (dc.num_vars() == 2 && dc_states_[c].blocked) {
     // Both sides of a single-relation FD-shaped constraint share one

@@ -17,22 +17,6 @@
 
 namespace dbim {
 
-/// Per-constraint maintenance counters. `num_probes` counts candidate
-/// partners examined (binary) resp. satisfying assignments enumerated
-/// (k-ary) on behalf of the constraint during Apply; `num_fires` counts
-/// violation derivations it contributed. `activity` is an exponentially
-/// decayed fire count (MiniSat-style geometric bump increment, decay 0.95
-/// per probing op) — the hottest-first probe order key. `watcher_count`
-/// is the constraint's live watched-key count: non-empty partner buckets
-/// (binary) resp. bucket keys of its pruning index (k-ary). Counters
-/// cover Apply-time maintenance, not the initial build.
-struct IncrementalConstraintStats {
-  uint64_t num_probes = 0;
-  uint64_t num_fires = 0;
-  double activity = 0.0;
-  size_t watcher_count = 0;
-};
-
 /// Aggregate dispatch counters across Apply calls: how many binary
 /// constraint probes the watcher layer ran vs skipped. Skipped probes are
 /// the watched-dispatch win — ops whose key classes no constraint
@@ -146,9 +130,13 @@ class IncrementalViolationIndex {
   /// Returns whether compaction ran.
   bool CompactSlotsIfWasteful(double waste_threshold);
 
-  /// Apply-time maintenance counters for constraint `c` (see
-  /// IncrementalConstraintStats).
-  IncrementalConstraintStats ConstraintStatsFor(size_t c) const;
+  /// Apply-time maintenance counters for constraint `c`: partner
+  /// candidates examined (binary) resp. satisfying assignments enumerated
+  /// (k-ary) as probes, violation derivations contributed as fires — the
+  /// initial build is not counted — and the live watched-key count:
+  /// non-empty partner buckets (binary) resp. bucket keys of its pruning
+  /// index (k-ary).
+  ConstraintStats ConstraintStatsFor(size_t c) const;
 
   const IncrementalDispatchStats& dispatch_stats() const {
     return dispatch_stats_;
@@ -272,12 +260,6 @@ class IncrementalViolationIndex {
   void AddToBuckets(FactId id);
   void RemoveFromBuckets(FactId id);
 
-  // One decayed-activity tick per probing op (geometric bump increment, so
-  // decaying costs O(1), not O(|Sigma|)); BumpActivity credits `fires`
-  // derivations to constraint `c` at the current increment.
-  void DecayActivityTick();
-  void BumpActivity(size_t c, uint64_t fires);
-
   std::shared_ptr<const Schema> schema_;
   std::vector<DenialConstraint> constraints_;
   std::optional<Database> owned_;
@@ -308,14 +290,9 @@ class IncrementalViolationIndex {
   // least one keyed variable pair) ---
   std::vector<std::unique_ptr<KAryBlockingIndex>> kary_indexes_;
 
-  // --- activity / stats ---
-  struct ActivityState {
-    uint64_t probes = 0;
-    uint64_t fires = 0;
-    double activity = 0.0;
-  };
-  std::vector<ActivityState> activity_;  // parallel to constraints_
-  double activity_increment_ = 1.0;
+  // --- per-constraint probe/fire counters (ConstraintStatsFor reads the
+  // watcher count off the buckets) ---
+  std::vector<ConstraintStats> stats_;  // parallel to constraints_
 
   // --- compiled-eval cache (see CompileEvals) ---
   std::vector<DcEval> evals_cache_;
@@ -329,8 +306,6 @@ class IncrementalViolationIndex {
   // synchronized per index, so reuse is safe and keeps allocations off the
   // per-op hot path) ---
   std::vector<uint32_t> probe_candidates_;
-  std::vector<uint32_t> probe_order_;
-  std::vector<std::pair<uint32_t, std::vector<FactId>>> probe_found_;
   IncrementalDispatchStats dispatch_stats_;
   std::vector<StoredSubset> subsets_;
   size_t live_subsets_ = 0;

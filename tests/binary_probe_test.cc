@@ -192,7 +192,7 @@ std::vector<DenialConstraint> NamedDcs(const Instance& inst) {
 
 struct Reference {
   ViolationSet set;
-  std::vector<DetectorConstraintStats> stats;
+  std::vector<ConstraintStats> stats;
 };
 
 // Brute force: every pair of every binary constraint, in canonical order,
@@ -237,7 +237,7 @@ Reference BruteForce(const Database& db,
     const Database::RelationBlock& r1 = db.relation_block(dc.var_relation(1));
     const bool same = dc.var_relation(0) == dc.var_relation(1);
     std::set<std::pair<FactId, FactId>> seen;
-    DetectorConstraintStats& st = ref.stats[c];
+    ConstraintStats& st = ref.stats[c];
     bool stop = false;
     for (uint32_t i = 0; i < r0.num_rows() && !stop; ++i) {
       for (uint32_t j = 0; j < r1.num_rows() && !stop; ++j) {
@@ -255,8 +255,6 @@ Reference BruteForce(const Database& db,
         stop = capped();
       }
     }
-    // A fresh detector decays a zero score once, then adds the fires.
-    st.activity = static_cast<double>(st.num_fires);
     if (stop) break;
   }
   return ref;
@@ -278,10 +276,9 @@ void ExpectMatchesReference(const Instance& inst,
         << at;
     EXPECT_EQ(ref.set.truncated(), got.truncated()) << at;
     for (size_t c = 0; c < dcs.size(); ++c) {
-      const DetectorConstraintStats st = detector.constraint_stats(c);
+      const ConstraintStats st = detector.constraint_stats(c);
       EXPECT_EQ(ref.stats[c].num_probes, st.num_probes) << at << " dc " << c;
       EXPECT_EQ(ref.stats[c].num_fires, st.num_fires) << at << " dc " << c;
-      EXPECT_EQ(ref.stats[c].activity, st.activity) << at << " dc " << c;
     }
   }
 }

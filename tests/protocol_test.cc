@@ -280,6 +280,67 @@ TEST(ProtocolLineBuffer, OverflowIsSticky) {
   EXPECT_TRUE(lines.empty());
 }
 
+// --------------------------------------------------------- session flags --
+
+// SessionOptionsFromFlags: the flags dbimd and dbim_cli share. Good values
+// land in the options; a bad value is an error naming the flag, never a
+// silent fallback (0 threads = every hardware thread, a disabled window,
+// no approximation).
+bool ParseFlags(std::vector<std::string> args, SessionOptions* options,
+                std::string* error) {
+  args.insert(args.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& arg : args) argv.push_back(arg.data());
+  return SessionOptionsFromFlags(static_cast<int>(argv.size()), argv.data(),
+                                 options, error);
+}
+
+TEST(SessionFlags, ParsesGoodValues) {
+  SessionOptions options;
+  std::string error;
+  ASSERT_TRUE(ParseFlags({}, &options, &error)) << error;
+  EXPECT_EQ(options.detector.num_threads, 1u);
+  EXPECT_FALSE(options.window.enabled());
+  EXPECT_FALSE(options.approx.enabled());
+
+  ASSERT_TRUE(ParseFlags({"--threads=0", "--window=ticks:12", "--approx=0.05",
+                          "--measures=I_d,I_MI", "--mc"},
+                         &options, &error))
+      << error;
+  EXPECT_EQ(options.detector.num_threads, 0u);
+  EXPECT_EQ(options.window.kind, WindowSpec::Kind::kTicks);
+  EXPECT_EQ(options.window.size, 12u);
+  EXPECT_EQ(options.approx.eps, 0.05);
+  EXPECT_EQ(options.only, (std::vector<std::string>{"I_d", "I_MI"}));
+  EXPECT_TRUE(options.registry.include_mc);
+
+  ASSERT_TRUE(ParseFlags({"--threads=8", "--window=count:3", "--approx=1"},
+                         &options, &error))
+      << error;
+  EXPECT_EQ(options.detector.num_threads, 8u);
+  EXPECT_EQ(options.window.kind, WindowSpec::Kind::kCount);
+  EXPECT_EQ(options.window.size, 3u);
+  EXPECT_EQ(options.approx.eps, 1.0);
+}
+
+TEST(SessionFlags, RejectsBadValues) {
+  const std::vector<std::string> bad = {
+      "--threads=abc",     "--threads=-1",      "--threads=4x",
+      "--threads=99999999999999999999",
+      "--window=count:abc", "--window=bogus:3", "--window=count",
+      "--window=count:0",  "--window=ticks:3:4", "--window=count:-2",
+      "--approx=abc",      "--approx=0",        "--approx=-0.1",
+      "--approx=1.5",      "--approx=nan",      "--approx=inf",
+      "--approx=0.1x"};
+  for (const std::string& flag : bad) {
+    SessionOptions options;
+    std::string error;
+    EXPECT_FALSE(ParseFlags({flag}, &options, &error)) << flag;
+    const std::string name = flag.substr(0, flag.find('='));
+    EXPECT_NE(error.find(name), std::string::npos) << flag << ": " << error;
+  }
+}
+
 // ------------------------------------------------------------- fuzz (in) --
 
 // A printable-garbage line: mostly ASCII, occasional escapes and high

@@ -187,9 +187,14 @@ TEST(ServiceParity, WireTrajectoryMatchesInProcessSession) {
   std::string wire_stats;
   ASSERT_TRUE(client.Stats("s", &wire_stats, &error)) << error;
   const std::string local_stats =
-      ConstraintStatsTable(mirror_session.ConstraintStats(mirror))
+      ConstraintStatsTable(mirror_session.detector(),
+                           mirror_session.ConstraintStats(mirror))
           .ToJson("constraint_stats");
   EXPECT_EQ(wire_stats, local_stats);
+  EXPECT_NE(wire_stats.find(
+                R"("header": ["constraint", "probes", "fires", "watchers"])"),
+            std::string::npos)
+      << wire_stats;
 
   // DUMP returns the exact rows (ids ascending) of the mirror database.
   std::vector<std::pair<FactId, std::vector<Value>>> rows;

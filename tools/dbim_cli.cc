@@ -69,7 +69,7 @@ int Usage() {
       "               detection pass plus the incremental index's watched-\n"
       "               key footprint\n"
       "  --json       with --stats, emit the table as JSON (the same\n"
-      "               TablePrinter::ToJson form dbimd's STATS verb uses)\n"
+      "               columns and form dbimd's STATS verb uses)\n"
       "  --threads=N  detection worker threads (default 1, 0 = hardware);\n"
       "               results are identical for every thread count\n"
       "  --parallel-measures  evaluate the selected measures concurrently\n"
@@ -88,9 +88,14 @@ int main(int argc, char** argv) {
   const std::string spec_path = FlagValue(argc, argv, "spec");
   const std::string data_path = FlagValue(argc, argv, "data");
   if (spec_path.empty() || data_path.empty()) return Usage();
+  MeasureSessionOptions options;
+  std::string error;
+  if (!SessionOptionsFromFlags(argc, argv, &options, &error)) {
+    std::fprintf(stderr, "dbim_cli: %s\n", error.c_str());
+    return Usage();
+  }
 
   ServiceSpec spec;
-  std::string error;
   if (!LoadSpecFile(spec_path, &spec, &error)) {
     std::fprintf(stderr, "spec error: %s\n", error.c_str());
     return 1;
@@ -107,8 +112,7 @@ int main(int argc, char** argv) {
   // One session, one shared context: violation detection — the dominating
   // cost — runs once, and the measure loop, Shapley ranking, and repair
   // all reuse it.
-  MeasureSessionOptions options =
-      SessionOptionsFromFlags(argc, argv).WithRepairDeadline(30.0);
+  options.WithRepairDeadline(30.0);
   MeasureSession session(spec.schema, spec.constraints, options);
   // One-shot workload: evaluate the loaded database on its own pool (no
   // Register — the copy/re-intern/bucket build only pays off across
@@ -166,16 +170,13 @@ int main(int argc, char** argv) {
     // gives the per-constraint watcher footprint; probes/fires come from
     // the uncached detection pass that just ran on the shared detector.
     const DbHandle handle = session.Register(*db);
-    const std::vector<SessionConstraintStats> stats =
-        session.ConstraintStats(handle);
-    TablePrinter table({"constraint", "probes", "fires", "watchers"});
+    std::vector<ConstraintStats> stats = session.ConstraintStats(handle);
     for (size_t c = 0; c < stats.size(); ++c) {
-      const DetectorConstraintStats pass =
-          session.detector().constraint_stats(c);
-      table.AddRow({stats[c].constraint, std::to_string(pass.num_probes),
-                    std::to_string(pass.num_fires),
-                    std::to_string(stats[c].watcher_count)});
+      const ConstraintStats pass = session.detector().constraint_stats(c);
+      stats[c].num_probes = pass.num_probes;
+      stats[c].num_fires = pass.num_fires;
     }
+    const TablePrinter table = ConstraintStatsTable(session.detector(), stats);
     if (HasFlag(argc, argv, "json")) {
       std::printf("%s\n", table.ToJson("constraint_stats").c_str());
     } else {

@@ -127,7 +127,11 @@ int main(int argc, char** argv) {
       !UintFlag(argc, argv, "queue", SIZE_MAX, &options.queue_capacity)) {
     return Usage();
   }
-  options.session = SessionOptionsFromFlags(argc, argv);
+  std::string flag_error;
+  if (!SessionOptionsFromFlags(argc, argv, &options.session, &flag_error)) {
+    std::fprintf(stderr, "dbimd: %s\n", flag_error.c_str());
+    return Usage();
+  }
 
   // Durability: an opened store wired into the server (which recovers every
   // logged session before accepting traffic).
