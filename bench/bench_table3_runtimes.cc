@@ -29,7 +29,6 @@ int Run(const BenchArgs& args) {
   // graphs; past the deadline it reports its incumbent (an upper bound).
   options.registry.repair_deadline_seconds = 10.0;
   options.detector.num_threads = args.threads;
-  options.parallel_measures = args.parallel_measures;
 
   struct DatasetRow {
     std::string name;

@@ -26,8 +26,6 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
       args.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
     } else if (StartsWith(arg, "--threads=")) {
       args.threads = std::strtoull(arg.c_str() + 10, nullptr, 10);
-    } else if (arg == "--parallel-measures") {
-      args.parallel_measures = true;
     } else if (StartsWith(arg, "--json=")) {
       args.json_out = arg.substr(7);
     } else if (StartsWith(arg, "--thread-sweep=")) {
@@ -43,11 +41,9 @@ BenchArgs BenchArgs::Parse(int argc, char** argv) {
     } else if (arg == "--help" || arg == "-h") {
       std::printf(
           "flags: --full --scale=X --csv --out=DIR --seed=N --threads=N\n"
-          "       --parallel-measures --json=PATH --thread-sweep=1,2,4\n"
-          "       --skip-scratch\n"
+          "       --json=PATH --thread-sweep=1,2,4 --skip-scratch\n"
           "  --full uses the paper's sizes; default is a reduced scale\n"
           "  --threads sets detector worker threads (0 = hardware)\n"
-          "  --parallel-measures evaluates measures concurrently\n"
           "  --json also writes the table as JSON to PATH\n"
           "  --thread-sweep sets the thread counts swept by scaling benches\n"
           "  --skip-scratch skips from-scratch re-detection replays (for\n"
@@ -70,7 +66,6 @@ size_t BenchArgs::SampleSize(size_t base, size_t paper) const {
 MeasureEngineOptions BenchArgs::EngineOptions() const {
   MeasureEngineOptions options;
   options.detector.num_threads = threads;
-  options.parallel_measures = parallel_measures;
   return options;
 }
 

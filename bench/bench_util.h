@@ -25,8 +25,6 @@ namespace dbim::bench {
 ///   --out=DIR       CSV directory (default bench/out relative to cwd)
 ///   --seed=N        RNG seed (default 42)
 ///   --threads=N     detector worker threads (default 1; 0 = hardware)
-///   --parallel-measures  evaluate registry measures concurrently on the
-///                   shared context (same values, overlapped wall time)
 ///   --json=PATH     also write the table as JSON to PATH (the machine-
 ///                   readable record the CI bench-regression gate diffs)
 ///   --thread-sweep=1,2,4  thread counts for benches that sweep the
@@ -41,7 +39,6 @@ struct BenchArgs {
   std::string out_dir = "bench_out";
   uint64_t seed = 42;
   size_t threads = 1;
-  bool parallel_measures = false;
   std::string json_out;
   std::vector<size_t> thread_sweep;
   bool skip_scratch = false;
@@ -51,7 +48,7 @@ struct BenchArgs {
   /// Scaled sample size: `base` by default, the paper's size under --full.
   size_t SampleSize(size_t base, size_t paper) const;
 
-  /// Engine options carrying this run's --threads / --parallel-measures.
+  /// Engine options carrying this run's --threads.
   MeasureEngineOptions EngineOptions() const;
 };
 

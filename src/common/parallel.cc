@@ -169,9 +169,8 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
   // sub-ranges through the same Claim() the workers use. This keeps the
   // otherwise-idle consumer productive and — more importantly —
   // guarantees progress when a pool worker's task is itself an ordered
-  // for (nested fan-out, e.g. a parallel measure evaluation that triggers
-  // parallel detection): even with every pool worker occupied, each
-  // nested consumer drives its own ranges to completion instead of
+  // for (nested fan-out: a compute that itself runs an ordered for): even
+  // with every pool worker occupied, each nested consumer drives its own ranges to completion instead of
   // waiting on a saturated queue, and the starved tasks exit as no-ops
   // whenever they eventually run.
   //
@@ -218,34 +217,6 @@ void OrderedStealingFor(size_t num_threads, size_t n, size_t grain,
   // state and exit via Claim() when the pool gets to them.
   std::unique_lock<std::mutex> lock(state->mutex);
   state->changed.wait(lock, [&] { return state->computing == 0; });
-}
-
-void OrderedParallelFor(size_t num_threads, size_t num_chunks,
-                        const std::function<void(size_t)>& compute,
-                        const std::function<bool(size_t)>& consume) {
-  if (num_chunks == 0) return;
-  if (num_threads <= 1 || num_chunks == 1) {
-    for (size_t c = 0; c < num_chunks; ++c) {
-      compute(c);
-      if (!consume(c)) break;
-    }
-    return;
-  }
-  // Discrete chunks ride the stealing core at grain 1: a claimed range is
-  // a run of chunk indices, computed left to right; consumption unrolls
-  // ranges back to per-chunk calls, preserving the original contract
-  // (ascending order, cancel stops everything unstarted).
-  OrderedStealingFor(
-      num_threads, num_chunks, 1,
-      [&](IndexRange range) {
-        for (size_t c = range.begin; c < range.end; ++c) compute(c);
-      },
-      [&](IndexRange range) {
-        for (size_t c = range.begin; c < range.end; ++c) {
-          if (!consume(c)) return false;
-        }
-        return true;
-      });
 }
 
 }  // namespace dbim

@@ -24,8 +24,16 @@ struct FractionalVcResult {
 /// double cover, which is a minimum s-t cut (computed with Dinic). The LP
 /// always has a half-integral optimal solution, which this returns.
 ///
-/// This is the I_lin_R fast path for binary denial constraints and the
-/// kernelization oracle (Nemhauser–Trotter) for exact I_R.
+/// This is the I_lin_R fast path for binary denial constraints, and the
+/// same result doubles as the kernelization oracle (Nemhauser–Trotter) for
+/// exact I_R: a report solves it once over the whole conflict graph and
+/// both measures read it (see KernelizedVertexCover).
+///
+/// The double-cover parts of distinct connected components share only the
+/// source and the sink, and Dinic augments inside one part at a time,
+/// visiting its arcs in the order a standalone run on that component
+/// would. So x restricted to a component is bit-identical to this
+/// function's x on that component alone.
 FractionalVcResult FractionalVertexCover(const SimpleGraph& g,
                                          const std::vector<double>& weights);
 

@@ -1,6 +1,7 @@
 #include "graph/graph.h"
 
 #include <algorithm>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -15,7 +16,9 @@ void SimpleGraph::AddEdge(uint32_t a, uint32_t b) {
 }
 
 void SimpleGraph::Normalize() {
-  std::sort(edges_.begin(), edges_.end());
+  if (!std::is_sorted(edges_.begin(), edges_.end())) {
+    std::sort(edges_.begin(), edges_.end());
+  }
   edges_.erase(std::unique(edges_.begin(), edges_.end()), edges_.end());
 }
 
@@ -33,27 +36,53 @@ std::vector<std::vector<uint32_t>> SimpleGraph::AdjacencyLists() const {
 }
 
 std::pair<std::vector<uint32_t>, size_t> SimpleGraph::Components() const {
-  std::vector<uint32_t> comp(n_, UINT32_MAX);
-  const auto adj = AdjacencyLists();
-  size_t count = 0;
-  std::vector<uint32_t> stack;
-  for (uint32_t s = 0; s < n_; ++s) {
-    if (comp[s] != UINT32_MAX) continue;
-    comp[s] = static_cast<uint32_t>(count);
-    stack.push_back(s);
-    while (!stack.empty()) {
-      const uint32_t v = stack.back();
-      stack.pop_back();
-      for (const uint32_t w : adj[v]) {
-        if (comp[w] == UINT32_MAX) {
-          comp[w] = static_cast<uint32_t>(count);
-          stack.push_back(w);
-        }
-      }
+  // Union-find that always links the larger root under the smaller, so
+  // every root is its component's smallest vertex and one ascending scan
+  // numbers components by it.
+  std::vector<uint32_t> parent(n_);
+  std::iota(parent.begin(), parent.end(), 0u);
+  auto find = [&](uint32_t v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];
+      v = parent[v];
     }
-    ++count;
+    return v;
+  };
+  for (const auto& [a, b] : edges_) {
+    const uint32_t ra = find(a);
+    const uint32_t rb = find(b);
+    if (ra != rb) parent[std::max(ra, rb)] = std::min(ra, rb);
+  }
+  std::vector<uint32_t> comp(n_);
+  size_t count = 0;
+  for (uint32_t v = 0; v < n_; ++v) {
+    const uint32_t root = find(v);
+    comp[v] = root == v ? static_cast<uint32_t>(count++) : comp[root];
   }
   return {std::move(comp), count};
+}
+
+ComponentSplit SimpleGraph::ComponentSubgraphs() const {
+  const auto [comp, count] = Components();
+  ComponentSplit split;
+  split.members.resize(count);
+  std::vector<uint32_t> local(n_);
+  for (uint32_t v = 0; v < n_; ++v) {
+    std::vector<uint32_t>& members = split.members[comp[v]];
+    local[v] = static_cast<uint32_t>(members.size());
+    members.push_back(v);
+  }
+  split.graphs.reserve(count);
+  for (const auto& members : split.members) {
+    split.graphs.emplace_back(members.size());
+  }
+  // Relabelling is monotone within a component, so a sorted edge list
+  // stays sorted in every bucket.
+  for (const auto& [a, b] : edges_) {
+    split.graphs[comp[a]].edges_.emplace_back(local[a], local[b]);
+  }
+  for (SimpleGraph& g : split.graphs) g.Normalize();
+  return split;
 }
 
 SimpleGraph SimpleGraph::InducedSubgraph(

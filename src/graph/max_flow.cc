@@ -2,34 +2,52 @@
 
 #include <algorithm>
 #include <limits>
-#include <queue>
 
 #include "common/check.h"
 
 namespace dbim {
 
-MaxFlow::MaxFlow(size_t num_nodes) : adj_(num_nodes) {}
+MaxFlow::MaxFlow(size_t num_nodes) : num_nodes_(num_nodes) {}
 
-size_t MaxFlow::AddEdge(uint32_t from, uint32_t to, double capacity) {
-  DBIM_CHECK(from < adj_.size() && to < adj_.size());
+void MaxFlow::AddEdge(uint32_t from, uint32_t to, double capacity) {
+  DBIM_CHECK(from < num_nodes_ && to < num_nodes_);
   DBIM_CHECK(capacity >= 0.0);
-  adj_[from].push_back(Edge{to, capacity, adj_[to].size()});
-  adj_[to].push_back(Edge{from, 0.0, adj_[from].size() - 1});
-  return adj_[from].size() - 1;
+  DBIM_CHECK_MSG(first_.empty(), "MaxFlow::AddEdge after Solve");
+  edges_.push_back(Edge{from, to, capacity});
+}
+
+void MaxFlow::BuildArcs() {
+  // Count arcs per node (each edge is a forward arc at `from` and a
+  // zero-capacity reverse arc at `to`), then fill in AddEdge order.
+  first_.assign(num_nodes_ + 1, 0);
+  for (const Edge& e : edges_) {
+    ++first_[e.from + 1];
+    ++first_[e.to + 1];
+  }
+  for (size_t v = 0; v < num_nodes_; ++v) first_[v + 1] += first_[v];
+  arcs_.resize(2 * edges_.size());
+  std::vector<uint32_t> next(first_.begin(), first_.end() - 1);
+  for (const Edge& e : edges_) {
+    const uint32_t fwd = next[e.from]++;
+    const uint32_t rev = next[e.to]++;
+    arcs_[fwd] = Arc{e.to, rev, e.cap};
+    arcs_[rev] = Arc{e.from, fwd, 0.0};
+  }
+  edges_ = {};
 }
 
 bool MaxFlow::Bfs(uint32_t s, uint32_t t) {
-  level_.assign(adj_.size(), -1);
-  std::queue<uint32_t> queue;
+  level_.assign(num_nodes_, -1);
+  queue_.clear();
   level_[s] = 0;
-  queue.push(s);
-  while (!queue.empty()) {
-    const uint32_t v = queue.front();
-    queue.pop();
-    for (const Edge& e : adj_[v]) {
-      if (e.cap > kEps && level_[e.to] < 0) {
-        level_[e.to] = level_[v] + 1;
-        queue.push(e.to);
+  queue_.push_back(s);
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const uint32_t v = queue_[head];
+    for (uint32_t i = first_[v]; i < first_[v + 1]; ++i) {
+      const Arc& a = arcs_[i];
+      if (a.cap > kEps && level_[a.to] < 0) {
+        level_[a.to] = level_[v] + 1;
+        queue_.push_back(a.to);
       }
     }
   }
@@ -38,13 +56,13 @@ bool MaxFlow::Bfs(uint32_t s, uint32_t t) {
 
 double MaxFlow::Dfs(uint32_t v, uint32_t t, double pushed) {
   if (v == t) return pushed;
-  for (size_t& i = iter_[v]; i < adj_[v].size(); ++i) {
-    Edge& e = adj_[v][i];
-    if (e.cap <= kEps || level_[e.to] != level_[v] + 1) continue;
-    const double got = Dfs(e.to, t, std::min(pushed, e.cap));
+  for (uint32_t& i = iter_[v]; i < first_[v + 1]; ++i) {
+    Arc& a = arcs_[i];
+    if (a.cap <= kEps || level_[a.to] != level_[v] + 1) continue;
+    const double got = Dfs(a.to, t, std::min(pushed, a.cap));
     if (got > kEps) {
-      e.cap -= got;
-      adj_[e.to][e.rev].cap += got;
+      a.cap -= got;
+      arcs_[a.rev].cap += got;
       return got;
     }
   }
@@ -53,9 +71,12 @@ double MaxFlow::Dfs(uint32_t v, uint32_t t, double pushed) {
 
 double MaxFlow::Solve(uint32_t s, uint32_t t) {
   DBIM_CHECK(s != t);
+  DBIM_CHECK(s < num_nodes_ && t < num_nodes_);
+  DBIM_CHECK_MSG(first_.empty(), "MaxFlow::Solve called twice");
+  BuildArcs();
   double flow = 0.0;
   while (Bfs(s, t)) {
-    iter_.assign(adj_.size(), 0);
+    iter_.assign(first_.begin(), first_.end() - 1);
     while (true) {
       const double pushed =
           Dfs(s, t, std::numeric_limits<double>::infinity());

@@ -11,14 +11,19 @@ namespace dbim {
 /// weighted fractional vertex-cover LP (min s-t cut on the bipartite double
 /// cover). Capacities are doubles because fact deletion costs are; a small
 /// epsilon guards residual comparisons.
+///
+/// Edges are collected first and laid out at Solve() as one flat arc array
+/// (CSR: per-node arc ranges, each arc holding the index of its reverse).
+/// Every node's arcs keep the order in which AddEdge touched the node, so
+/// Dinic visits them exactly as a per-node adjacency list would.
 class MaxFlow {
  public:
   explicit MaxFlow(size_t num_nodes);
 
-  /// Adds a directed edge with the given capacity; returns its index.
-  size_t AddEdge(uint32_t from, uint32_t to, double capacity);
+  /// Adds a directed edge with the given capacity. Must precede Solve().
+  void AddEdge(uint32_t from, uint32_t to, double capacity);
 
-  /// Runs Dinic from s to t and returns the max-flow value.
+  /// Runs Dinic from s to t and returns the max-flow value. Call once.
   double Solve(uint32_t s, uint32_t t);
 
   /// After Solve(): whether `v` is on the source side of the min cut.
@@ -26,19 +31,29 @@ class MaxFlow {
 
  private:
   struct Edge {
+    uint32_t from;
     uint32_t to;
     double cap;
-    size_t rev;  // index of reverse edge in adj_[to]
+  };
+  struct Arc {
+    uint32_t to;
+    uint32_t rev;  // index of the reverse arc in arcs_
+    double cap;
   };
 
+  void BuildArcs();
   bool Bfs(uint32_t s, uint32_t t);
   double Dfs(uint32_t v, uint32_t t, double pushed);
 
   static constexpr double kEps = 1e-9;
 
-  std::vector<std::vector<Edge>> adj_;
+  size_t num_nodes_;
+  std::vector<Edge> edges_;     // AddEdge calls, consumed by BuildArcs
+  std::vector<uint32_t> first_;  // arcs of node v: [first_[v], first_[v+1])
+  std::vector<Arc> arcs_;
   std::vector<int32_t> level_;
-  std::vector<size_t> iter_;
+  std::vector<uint32_t> iter_;
+  std::vector<uint32_t> queue_;
 };
 
 }  // namespace dbim

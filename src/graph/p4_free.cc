@@ -23,28 +23,17 @@ SimpleGraph Complement(const SimpleGraph& g) {
 }
 
 bool IsCograph(const SimpleGraph& g) {
-  const size_t n = g.num_vertices();
-  if (n <= 1) return true;
-  const auto [comp, num_comps] = g.Components();
-  if (num_comps > 1) {
-    for (size_t c = 0; c < num_comps; ++c) {
-      std::vector<uint32_t> members;
-      for (uint32_t v = 0; v < n; ++v) {
-        if (comp[v] == c) members.push_back(v);
-      }
-      if (!IsCograph(g.InducedSubgraph(members))) return false;
-    }
-    return true;
+  if (g.num_vertices() <= 1) return true;
+  ComponentSplit split = g.ComponentSubgraphs();
+  if (split.graphs.size() == 1) {
+    // Connected: recurse on the co-components instead. Each is the
+    // complement of the subgraph of g it spans, and cographs are closed
+    // under complement.
+    split = Complement(g).ComponentSubgraphs();
+    if (split.graphs.size() == 1) return false;  // connected and co-connected
   }
-  const SimpleGraph co = Complement(g);
-  const auto [co_comp, co_num] = co.Components();
-  if (co_num == 1) return false;  // connected and co-connected => has a P4
-  for (size_t c = 0; c < co_num; ++c) {
-    std::vector<uint32_t> members;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (co_comp[v] == c) members.push_back(v);
-    }
-    if (!IsCograph(g.InducedSubgraph(members))) return false;
+  for (const SimpleGraph& sub : split.graphs) {
+    if (!IsCograph(sub)) return false;
   }
   return true;
 }

@@ -210,38 +210,36 @@ class BnbSolver {
 VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
                                        const std::vector<double>& weights,
                                        const VertexCoverOptions& options) {
-  const size_t n = g.num_vertices();
-  DBIM_CHECK(weights.size() == n);
+  DBIM_CHECK(weights.size() == g.num_vertices());
+  if (g.num_edges() == 0) {
+    VertexCoverResult result;
+    result.in_cover.assign(g.num_vertices(), false);
+    return result;
+  }
+  return KernelizedVertexCover(g.ComponentSubgraphs(), weights,
+                               FractionalVertexCover(g, weights).x, options);
+}
+
+VertexCoverResult KernelizedVertexCover(const ComponentSplit& components,
+                                        const std::vector<double>& weights,
+                                        const std::vector<double>& x,
+                                        const VertexCoverOptions& options) {
+  DBIM_CHECK(x.size() == weights.size());
   VertexCoverResult result;
-  result.in_cover.assign(n, false);
-  if (g.num_edges() == 0) return result;
-
+  result.in_cover.assign(weights.size(), false);
   const Deadline deadline(options.deadline_seconds);
-  const auto [comp, num_comps] = g.Components();
-
-  for (size_t c = 0; c < num_comps; ++c) {
-    std::vector<uint32_t> members;
-    for (uint32_t v = 0; v < n; ++v) {
-      if (comp[v] == c) members.push_back(v);
-    }
-    if (members.size() < 2) continue;
-    const SimpleGraph sub = g.InducedSubgraph(members);
+  std::vector<uint32_t> kernel;
+  for (size_t c = 0; c < components.graphs.size(); ++c) {
+    const SimpleGraph& sub = components.graphs[c];
     if (sub.num_edges() == 0) continue;
-    std::vector<double> sub_w(members.size());
+    const std::vector<uint32_t>& members = components.members[c];
+    kernel.clear();
     for (uint32_t i = 0; i < members.size(); ++i) {
-      sub_w[i] = weights[members[i]];
-    }
-
-    // Nemhauser–Trotter: from a half-integral LP optimum, the 1-vertices
-    // are in some optimal cover and the 0-vertices in none; only the
-    // half-vertices need branching.
-    const FractionalVcResult lp = FractionalVertexCover(sub, sub_w);
-    std::vector<uint32_t> kernel;
-    for (uint32_t i = 0; i < members.size(); ++i) {
-      if (lp.x[i] > 0.75) {
+      const double xv = x[members[i]];
+      if (xv > 0.75) {
         result.in_cover[members[i]] = true;
-        result.value += sub_w[i];
-      } else if (lp.x[i] > 0.25) {
+        result.value += weights[members[i]];
+      } else if (xv > 0.25) {
         kernel.push_back(i);
       }
     }
@@ -250,7 +248,7 @@ VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
     if (kernel_graph.num_edges() == 0) continue;
     std::vector<double> kernel_w(kernel.size());
     for (uint32_t i = 0; i < kernel.size(); ++i) {
-      kernel_w[i] = sub_w[kernel[i]];
+      kernel_w[i] = weights[members[kernel[i]]];
     }
     BnbSolver solver(kernel_graph, kernel_w, deadline, &result.bb_nodes);
     const auto [value, cover, optimal] = solver.Solve();

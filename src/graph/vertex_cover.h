@@ -33,14 +33,24 @@ struct VertexCoverResult {
 /// constraints whose minimal inconsistent subsets all have size two (FDs and
 /// all the experiment DC sets), on the conflict graph.
 ///
-/// Pipeline: connected-component decomposition, Nemhauser–Trotter
-/// kernelization via the fractional LP (variables at 0 are excluded, at 1
-/// included; only the half-integral kernel is branched on), then branch &
-/// bound on a maximum-degree vertex with the fractional LP as lower bound
-/// and a greedy cover as incumbent.
+/// Pipeline: one fractional LP over the whole graph (FractionalVertexCover),
+/// then KernelizedVertexCover on its connected components.
 VertexCoverResult MinWeightVertexCover(const SimpleGraph& g,
                                        const std::vector<double>& weights,
                                        const VertexCoverOptions& options = {});
+
+/// Exact minimum weighted vertex cover from a half-integral optimum `x` of
+/// the fractional LP over the graph that `components` splits
+/// (g.ComponentSubgraphs()). Nemhauser–Trotter: the 1-vertices are in some
+/// optimal cover and the 0-vertices in none, so per component only the
+/// half-integral kernel is branched on — branch & bound on a
+/// maximum-degree vertex with the fractional LP as lower bound and a greedy
+/// cover as incumbent. The value sums component by component: first the
+/// 1-vertices in member order, then the kernel's cover.
+VertexCoverResult KernelizedVertexCover(const ComponentSplit& components,
+                                        const std::vector<double>& weights,
+                                        const std::vector<double>& x,
+                                        const VertexCoverOptions& options = {});
 
 }  // namespace dbim
 

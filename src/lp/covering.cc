@@ -39,8 +39,10 @@ LpModel BuildRelaxation(const CoveringProblem& problem,
 class CoveringSolver {
  public:
   CoveringSolver(const CoveringProblem& problem,
-                 const CoveringOptions& options)
-      : problem_(problem), deadline_(options.deadline_seconds) {}
+                 const CoveringOptions& options, const LpSolution* root_lp)
+      : problem_(problem),
+        deadline_(options.deadline_seconds),
+        root_lp_(root_lp) {}
 
   CoveringResult Solve() {
     result_.chosen.assign(problem_.costs.size(), false);
@@ -156,9 +158,18 @@ class CoveringSolver {
       return;
     }
 
-    // LP bound + branching variable (most fractional, ties by cost).
-    const LpModel relaxation = BuildRelaxation(problem_, var_state, sets);
-    const LpSolution lp = SolveLp(relaxation);
+    // LP bound + branching variable (most fractional, ties by cost). The
+    // root model equals the plain relaxation while no set was propagated
+    // away, so a caller's solve of it stands in for SolveLp there.
+    const LpSolution* root_lp = root_lp_;
+    root_lp_ = nullptr;
+    const bool reuse_root = root_lp != nullptr &&
+                            sets.size() == problem_.sets.size() &&
+                            std::all_of(var_state.begin(), var_state.end(),
+                                        [](char s) { return s == 0; });
+    const LpSolution lp =
+        reuse_root ? *root_lp
+                   : SolveLp(BuildRelaxation(problem_, var_state, sets));
     if (lp.status == LpStatus::kInfeasible) return;
     double lower = cost;
     std::vector<double> x_full(var_state.size(), 0.0);
@@ -206,6 +217,7 @@ class CoveringSolver {
 
   const CoveringProblem& problem_;
   Deadline deadline_;
+  const LpSolution* root_lp_;  // consumed by the first LP bound
   CoveringResult result_;
   double best_value_ = 0.0;
   std::vector<bool> best_cover_;
@@ -214,7 +226,8 @@ class CoveringSolver {
 }  // namespace
 
 CoveringResult SolveCoveringIlp(const CoveringProblem& problem,
-                                const CoveringOptions& options) {
+                                const CoveringOptions& options,
+                                const LpSolution* root_lp) {
   for (const auto& set : problem.sets) {
     DBIM_CHECK(!set.empty());
     DBIM_CHECK(std::is_sorted(set.begin(), set.end()));
@@ -224,7 +237,7 @@ CoveringResult SolveCoveringIlp(const CoveringProblem& problem,
     r.chosen.assign(problem.costs.size(), false);
     return r;
   }
-  CoveringSolver solver(problem, options);
+  CoveringSolver solver(problem, options, root_lp);
   return solver.Solve();
 }
 

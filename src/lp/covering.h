@@ -39,8 +39,14 @@ struct CoveringResult {
 /// on the most fractional LP variable. This is the general I_R solver for
 /// denial constraints with minimal witnesses of any size; the vertex-cover
 /// solver is the specialized (and faster) path when all sets have size two.
+///
+/// `root_lp`, when given, must be SolveCoveringLpRelaxation(problem); the
+/// root node then reads it instead of solving the same model again. (Every
+/// set has at least two variables, so unit propagation leaves the root
+/// model equal to the relaxation; the solver checks this before reusing.)
 CoveringResult SolveCoveringIlp(const CoveringProblem& problem,
-                                const CoveringOptions& options = {});
+                                const CoveringOptions& options = {},
+                                const LpSolution* root_lp = nullptr);
 
 /// The LP relaxation of the same instance (the definition of I_lin_R).
 LpSolution SolveCoveringLpRelaxation(const CoveringProblem& problem);

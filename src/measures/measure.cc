@@ -16,6 +16,13 @@ const ConflictGraph& MeasureContext::conflict_graph() {
   return *conflict_graph_;
 }
 
+const RepairInstance& MeasureContext::repair() {
+  std::call_once(repair_once_, [&] {
+    repair_ = BuildRepairInstance(conflict_graph());
+  });
+  return *repair_;
+}
+
 void MeasureContext::Materialize() {
   conflict_graph();  // transitively materializes violations()
 }

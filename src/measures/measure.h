@@ -6,6 +6,7 @@
 #include <optional>
 #include <string>
 
+#include "measures/repair_instance.h"
 #include "relational/database.h"
 #include "violations/conflict_graph.h"
 #include "violations/detector.h"
@@ -15,14 +16,16 @@ namespace dbim {
 
 /// Shared per-(Sigma, D) computation state. Detecting violations dominates
 /// the cost of most measures (the paper observes the SQL self-join dominates
-/// for large datasets); the context computes MI_Sigma(D) and the conflict
-/// graph once and lets every measure reuse them.
+/// for large datasets); the context computes MI_Sigma(D), the conflict
+/// graph and the repair instance once and lets every measure reuse them.
+/// The repair instance carries one optimal solution of the repair LP, so
+/// I_R (which kernelizes with it) and I_lin_R (which is its value) share a
+/// single solve per report.
 ///
 /// Thread safety: the lazy members memoize through std::call_once, so
-/// concurrent measure evaluations on one shared context (see
-/// MeasureEngineOptions::parallel_measures) race neither on first
-/// materialization nor afterwards — once set, both are only ever read.
-/// Everything else a measure reaches through the context is const:
+/// concurrent measure evaluations on one shared context race neither on
+/// first materialization nor afterwards — once set, they are only ever
+/// read. Everything else a measure reaches through the context is const:
 /// detection, ids()/deletion_cost()/pool() on the database, and the graph
 /// accessors. (The Database's lazily cached row-major fact(id) view is NOT
 /// part of that const surface and must not be called concurrently; no
@@ -48,11 +51,14 @@ class MeasureContext {
   /// Conflict structure of the database, computed on first use.
   const ConflictGraph& conflict_graph();
 
-  /// Eagerly computes both lazy members on the calling thread. call_once
-  /// already makes lazy first use safe under concurrency, but stragglers
-  /// would block on the one thread doing the work — materializing before a
-  /// parallel evaluation keeps workers compute-bound and keeps the first
-  /// graph consumer's timing from absorbing the build.
+  /// The repair instance of conflict_graph() with one optimal solution of
+  /// its LP relaxation, computed on first use.
+  const RepairInstance& repair();
+
+  /// Eagerly computes violations() and conflict_graph() on the calling
+  /// thread, so a caller that times measures one by one does not charge
+  /// the graph build to the first graph consumer. The repair instance stays
+  /// lazy: the first repair measure evaluated pays for it.
   void Materialize();
 
  private:
@@ -60,8 +66,10 @@ class MeasureContext {
   const Database& db_;
   std::once_flag violations_once_;
   std::once_flag conflict_graph_once_;
+  std::once_flag repair_once_;
   std::optional<ViolationSet> violations_;
   std::optional<ConflictGraph> conflict_graph_;
+  std::optional<RepairInstance> repair_;
 };
 
 /// An inconsistency measure I(Sigma, D) -> [0, inf) (paper Section 3). The

@@ -20,9 +20,12 @@ struct RepairMeasureOptions {
 /// general (paper Theorem 1 pins the frontier already for single EGDs).
 ///
 /// Computation: self-inconsistent facts are forced deletions; the rest is a
-/// minimum weighted vertex cover of the conflict graph (exact branch &
-/// bound with Nemhauser–Trotter kernelization), or a covering ILP when
-/// minimal witnesses have size >= 3.
+/// minimum weighted vertex cover of the conflict graph, or a covering ILP
+/// when minimal witnesses have size >= 3. Both start from the context's
+/// memoized repair LP (MeasureContext::repair()), the one I_lin_R reads:
+/// the vertex cover kernelizes with its half-integral solution
+/// (Nemhauser–Trotter) and branches only on each component's ½-kernel,
+/// which is usually empty; the ILP takes it as its root relaxation.
 class MinRepairMeasure : public InconsistencyMeasure {
  public:
   explicit MinRepairMeasure(RepairMeasureOptions options = {})
@@ -47,7 +50,9 @@ class MinRepairMeasure : public InconsistencyMeasure {
 /// Computation: self-inconsistent facts contribute their full cost (their
 /// covering constraint forces x = 1); binary witnesses form the fractional
 /// weighted vertex-cover LP, solved exactly via max-flow on the bipartite
-/// double cover; hyperedge witnesses fall back to the simplex.
+/// double cover; hyperedge witnesses fall back to the simplex. The solve
+/// is the context's memoized repair LP, shared with I_R, so whichever of
+/// the two a report evaluates first pays for it.
 class LinRepairMeasure : public InconsistencyMeasure {
  public:
   std::string name() const override { return "I_lin_R"; }

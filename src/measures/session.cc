@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/check.h"
-#include "common/parallel.h"
 #include "common/timer.h"
 
 namespace dbim {
@@ -199,34 +198,15 @@ bool MeasureSession::Selected(const std::string& name) const {
 
 std::vector<MeasureResult> MeasureSession::Evaluate(
     MeasureContext& context) const {
-  std::vector<InconsistencyMeasure*> selected;
-  selected.reserve(measures_.size());
+  std::vector<MeasureResult> results;
   for (const auto& measure : measures_) {
-    if (Selected(measure->name())) selected.push_back(measure.get());
-  }
-  std::vector<MeasureResult> results(selected.size());
-  auto evaluate_one = [&](size_t i) {
-    MeasureResult& r = results[i];
-    r.name = selected[i]->name();
+    if (!Selected(measure->name())) continue;
+    MeasureResult& r = results.emplace_back();
+    r.name = measure->name();
     Timer timer;
-    r.value = selected[i]->Evaluate(context);
+    r.value = measure->Evaluate(context);
     r.seconds = timer.Seconds();
-  };
-  if (!options_.parallel_measures || selected.size() <= 1) {
-    for (size_t i = 0; i < selected.size(); ++i) evaluate_one(i);
-    return results;
   }
-  // Concurrent evaluation: materialize the context's lazy members first so
-  // every worker strictly reads shared state (and no measure's timer
-  // absorbs detection or the conflict-graph build), then run one task per
-  // measure. Each task writes only its own results slot; the trivial
-  // ordered consume keeps registry order.
-  context.Materialize();
-  const size_t threads =
-      std::min(selected.size(), ThreadPool::HardwareThreads());
-  OrderedParallelFor(
-      threads, selected.size(), [&](size_t i) { evaluate_one(i); },
-      [](size_t) { return true; });
   return results;
 }
 

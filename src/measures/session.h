@@ -80,7 +80,6 @@ struct ApproxSpec {
 ///
 ///   MeasureSession session(schema, sigma,
 ///                          SessionOptions().WithThreads(8)
-///                                          .WithParallelMeasures()
 ///                                          .WithAutoVacuum(0.5));
 struct SessionOptions {
   /// Measure selection and per-measure budgets (I_MC / I_R deadlines).
@@ -94,15 +93,6 @@ struct SessionOptions {
   /// Restrict evaluation to these measure names (empty = the full
   /// registry). Unknown names are ignored.
   std::vector<std::string> only;
-
-  /// Evaluate independent measures concurrently on the shared context (one
-  /// task per selected measure on the process-wide pool, capped at the
-  /// hardware thread count). The context is materialized first, so workers
-  /// only read shared state; every measure is a pure function of it, so
-  /// values and result order are bit-identical to sequential evaluation —
-  /// only the per-measure wall times overlap. Orthogonal to
-  /// detector.num_threads, which parallelizes the detection pass itself.
-  bool parallel_measures = false;
 
   /// Auto-vacuum hook: when > 0, Apply periodically checks the shared
   /// pool's waste (the fraction of dictionary entries no registered
@@ -132,10 +122,6 @@ struct SessionOptions {
   /// Detection threads for the sharded enumeration phases.
   SessionOptions& WithThreads(size_t n) {
     detector.num_threads = n;
-    return *this;
-  }
-  SessionOptions& WithParallelMeasures(bool on = true) {
-    parallel_measures = on;
     return *this;
   }
   /// Restricts evaluation to one more named measure.

@@ -132,8 +132,7 @@ bool SessionOptionsFromFlags(int argc, char** argv, SessionOptions* options,
     }
     options->WithThreads(n);
   }
-  options->WithIncludeMC(has_flag("mc"))
-      .WithParallelMeasures(has_flag("parallel-measures"));
+  options->WithIncludeMC(has_flag("mc"));
   for (const std::string& name : Split(flag_value("measures"), ',')) {
     if (!name.empty()) options->WithMeasure(name);
   }

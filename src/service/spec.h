@@ -49,7 +49,6 @@ ServiceSpec ExampleSpec();
 ///   --threads=N           detection worker threads (0 = hardware)
 ///   --measures=I_d,I_MI   restrict to the named measures
 ///   --mc                  include the model-counting measure I_MC
-///   --parallel-measures   evaluate selected measures concurrently
 ///   --window=count:N      sliding window keeping the newest N facts
 ///   --window=ticks:N      sliding window keeping facts from the last N
 ///                         logical ticks (see streaming/stream_session.h)

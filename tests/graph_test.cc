@@ -108,6 +108,50 @@ TEST(SimpleGraph, InducedSubgraph) {
   EXPECT_EQ(sub.num_edges(), 2u);
 }
 
+// The one-pass split must equal the per-component scan it replaces:
+// Components() numbering, ascending members, InducedSubgraph edges. Edges
+// are added in shuffled order with duplicates, so the buckets also need
+// normalizing.
+TEST(SimpleGraph, ComponentSubgraphsMatchInducedSubgraphs) {
+  Rng rng(99);
+  for (int trial = 0; trial < 60; ++trial) {
+    const size_t n = rng.UniformIndex(40);
+    const double p = 0.5 / static_cast<double>(std::max<size_t>(n, 1));
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    for (uint32_t a = 0; a < n; ++a) {
+      for (uint32_t b = a + 1; b < n; ++b) {
+        if (rng.Bernoulli(3.0 * p)) edges.emplace_back(b, a);
+        if (rng.Bernoulli(p)) edges.emplace_back(a, b);
+      }
+    }
+    for (size_t i = edges.size(); i > 1; --i) {
+      std::swap(edges[i - 1], edges[rng.UniformIndex(i)]);
+    }
+    SimpleGraph g(n);
+    for (const auto& [a, b] : edges) g.AddEdge(a, b);
+
+    const auto [comp, count] = g.Components();
+    size_t seen = 0;
+    for (uint32_t v = 0; v < n; ++v) {
+      ASSERT_LE(comp[v], seen) << "numbered by smallest vertex";
+      if (comp[v] == seen) ++seen;
+    }
+    const ComponentSplit split = g.ComponentSubgraphs();
+    ASSERT_EQ(split.graphs.size(), count);
+    ASSERT_EQ(split.members.size(), count);
+    for (size_t c = 0; c < count; ++c) {
+      std::vector<uint32_t> members;
+      for (uint32_t v = 0; v < n; ++v) {
+        if (comp[v] == c) members.push_back(v);
+      }
+      EXPECT_EQ(split.members[c], members) << "trial " << trial;
+      const SimpleGraph induced = g.InducedSubgraph(members);
+      EXPECT_EQ(split.graphs[c].num_vertices(), induced.num_vertices());
+      EXPECT_EQ(split.graphs[c].edges(), induced.edges()) << "trial " << trial;
+    }
+  }
+}
+
 // ---- Matching / Konig ----
 
 TEST(HopcroftKarp, PerfectMatchingOnCycle) {

@@ -1,7 +1,13 @@
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/fractional_vc.h"
+#include "lp/covering.h"
 #include "measures/basic_measures.h"
 #include "measures/mc_measures.h"
 #include "measures/registry.h"
@@ -207,6 +213,176 @@ TEST(RepairMeasures, HonorsDeletionCosts) {
   // for 45. Choosing {2, 4} costs 20; {3, 5, 2} = 12; {3, 5, 4} = 12;
   // {2, 4} dominated. Minimum is 12.
   EXPECT_DOUBLE_EQ(exact.EvaluateFresh(detector, weighted), 12.0);
+}
+
+// ---- Repair memo: one LP per context, shared by I_R and I_lin_R ----
+
+// A random conflict structure over `n` facts: a few components with random
+// edges, some self-inconsistent facts, and (with `hyper`) triples that
+// contain no edge. Costs come from a small palette, so ties plant several
+// optimal covers; `dyadic` palettes sum exactly in any order.
+struct RandomConflicts {
+  Database db;
+  ViolationSet violations;
+};
+
+RandomConflicts MakeRandomConflicts(std::shared_ptr<const Schema> schema,
+                                    Rng& rng, size_t n, bool dyadic,
+                                    bool hyper) {
+  static constexpr double kDyadic[] = {0.25, 0.75, 1.5, 1.5, 2.125};
+  static constexpr double kDecimal[] = {0.1, 0.3, 0.7, 0.7, 2.2};
+  RandomConflicts out{Database(std::move(schema)), ViolationSet()};
+  for (size_t i = 0; i < n; ++i) {
+    const FactId id = out.db.Insert(
+        Fact(0, {Value(static_cast<int64_t>(i)), Value(0), Value(0)}));
+    const size_t pick = rng.UniformIndex(5);
+    out.db.set_deletion_cost(id, dyadic ? kDyadic[pick] : kDecimal[pick]);
+  }
+  const size_t groups = 1 + rng.UniformIndex(4);
+  std::vector<size_t> group(n);
+  std::vector<bool> self(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    group[i] = rng.UniformIndex(groups);
+    self[i] = rng.Bernoulli(0.08);
+    if (self[i]) out.violations.Add({static_cast<FactId>(i)});
+  }
+  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t b = a + 1; b < n; ++b) {
+      if (self[a] || self[b] || group[a] != group[b]) continue;
+      if (!rng.Bernoulli(0.35)) continue;
+      adj[a][b] = adj[b][a] = true;
+      out.violations.Add({static_cast<FactId>(a), static_cast<FactId>(b)});
+    }
+  }
+  for (int t = 0; hyper && t < 3; ++t) {
+    const size_t a = rng.UniformIndex(n);
+    const size_t b = rng.UniformIndex(n);
+    const size_t c = rng.UniformIndex(n);
+    if (a == b || b == c || a == c || self[a] || self[b] || self[c]) continue;
+    if (adj[a][b] || adj[b][c] || adj[a][c]) continue;
+    std::vector<FactId> triple{static_cast<FactId>(a), static_cast<FactId>(b),
+                               static_cast<FactId>(c)};
+    std::sort(triple.begin(), triple.end());
+    out.violations.Add(std::move(triple));
+  }
+  return out;
+}
+
+// The minimum cost of a fact set hitting every minimal subset, by
+// enumeration (n <= 16).
+double BruteForceMinRepair(const Database& db, const ViolationSet& vs,
+                           size_t n) {
+  double best = -1.0;
+  for (uint32_t mask = 0; mask < (1u << n); ++mask) {
+    bool covers = true;
+    for (const auto& subset : vs.minimal_subsets()) {
+      bool hit = false;
+      for (const FactId f : subset) hit = hit || ((mask >> f) & 1u) != 0;
+      if (!hit) {
+        covers = false;
+        break;
+      }
+    }
+    if (!covers) continue;
+    double cost = 0.0;
+    for (uint32_t f = 0; f < n; ++f) {
+      if ((mask >> f) & 1u) cost += db.deletion_cost(f);
+    }
+    if (best < 0.0 || cost < best) best = cost;
+  }
+  return best;
+}
+
+// The Figure 2 LP over the problematic facts, built from MI directly.
+double CoveringLpValue(const Database& db, const ViolationSet& vs) {
+  std::map<FactId, uint32_t> index;
+  CoveringProblem problem;
+  for (const auto& subset : vs.minimal_subsets()) {
+    std::vector<uint32_t> set;
+    for (const FactId f : subset) {
+      const auto [it, added] = index.emplace(f, problem.costs.size());
+      if (added) problem.costs.push_back(db.deletion_cost(f));
+      set.push_back(it->second);
+    }
+    std::sort(set.begin(), set.end());
+    problem.sets.push_back(std::move(set));
+  }
+  const LpSolution lp = SolveCoveringLpRelaxation(problem);
+  EXPECT_EQ(lp.status, LpStatus::kOptimal);
+  return lp.objective;
+}
+
+TEST(RepairMemo, SharedLpMatchesIndependentSolves) {
+  const auto schema = testing::MakeAbcSchema();
+  const ViolationDetector detector(schema, {});
+  const MinRepairMeasure exact;
+  const LinRepairMeasure lin;
+  Rng rng(20261019);
+  size_t covering_ilp_cases = 0;
+  for (int trial = 0; trial < 120; ++trial) {
+    const bool dyadic = trial % 2 == 0;
+    const bool hyper = trial % 10 == 9;
+    const size_t n = 4 + rng.UniformIndex(13);  // 4..16
+    const RandomConflicts rc =
+        MakeRandomConflicts(schema, rng, n, dyadic, hyper);
+    const std::string where = "trial " + std::to_string(trial);
+
+    MeasureContext r_first(detector, rc.db, rc.violations);
+    const double ir = exact.Evaluate(r_first);
+    const double lin_r = lin.Evaluate(r_first);
+    MeasureContext lin_first(detector, rc.db, rc.violations);
+    EXPECT_EQ(lin.Evaluate(lin_first), lin_r) << where;
+    EXPECT_EQ(exact.Evaluate(lin_first), ir) << where;
+    MeasureContext fresh_r(detector, rc.db, rc.violations);
+    EXPECT_EQ(exact.Evaluate(fresh_r), ir) << where;
+    MeasureContext fresh_lin(detector, rc.db, rc.violations);
+    EXPECT_EQ(lin.Evaluate(fresh_lin), lin_r) << where;
+
+    // I_R is the true optimum; exact sums for dyadic costs.
+    const double brute = BruteForceMinRepair(rc.db, rc.violations, n);
+    if (dyadic) {
+      EXPECT_EQ(ir, brute) << where;
+    } else {
+      EXPECT_NEAR(ir, brute, 1e-9) << where;
+    }
+    EXPECT_NEAR(lin_r, CoveringLpValue(rc.db, rc.violations), 1e-9) << where;
+
+    // The accessors read the same memo.
+    const std::vector<FactId> repair = exact.OptimalRepair(r_first);
+    double repair_cost = 0.0;
+    for (const FactId f : repair) repair_cost += rc.db.deletion_cost(f);
+    if (dyadic) {
+      EXPECT_EQ(repair_cost, ir) << where;
+    } else {
+      EXPECT_NEAR(repair_cost, ir, 1e-9) << where;
+    }
+    double fractional_cost = 0.0;
+    for (const auto& [f, x] : lin.FractionalSolution(r_first)) {
+      fractional_cost += rc.db.deletion_cost(f) * x;
+    }
+    EXPECT_NEAR(fractional_cost, lin_r, 1e-9) << where;
+
+    // The whole-graph half-integral cover, restricted to a component, is
+    // that component's standalone cover.
+    const RepairInstance& inst = r_first.repair();
+    if (!inst.binary()) {
+      ++covering_ilp_cases;
+      continue;
+    }
+    for (size_t c = 0; c < inst.components.graphs.size(); ++c) {
+      const std::vector<uint32_t>& members = inst.components.members[c];
+      std::vector<double> w;
+      for (const uint32_t v : members) w.push_back(inst.weights[v]);
+      const FractionalVcResult alone =
+          FractionalVertexCover(inst.components.graphs[c], w);
+      for (size_t i = 0; i < members.size(); ++i) {
+        EXPECT_EQ(inst.lp.x[members[i]], alone.x[i])
+            << where << " component " << c << " member " << i;
+      }
+    }
+  }
+  EXPECT_GT(covering_ilp_cases, 0u);  // the hyperedge path ran
 }
 
 // ---- Shapley attribution ----

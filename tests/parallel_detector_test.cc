@@ -412,13 +412,11 @@ TEST(ParallelParity, FindViolationsInvolving) {
   }
 }
 
-// Concurrent measure evaluation is behind MeasureEngineOptions::
-// parallel_measures: every measure is a pure function of the shared
-// materialized context, so the BatchReport (names, order, values,
-// detection metadata — timings excluded) must equal the sequential one
-// bit for bit. Fuzzed over noisy paper datasets crossed with detector
-// thread counts, so parallel measures stack on parallel detection.
-TEST(ParallelParity, MeasureEngineParallelMeasuresFuzz) {
+// Measures over a parallel detection pass: every measure is a pure
+// function of MI, so the BatchReport (names, order, values, detection
+// metadata — timings excluded) must equal the 1-thread one bit for bit.
+// Fuzzed over noisy paper datasets.
+TEST(ParallelParity, MeasureEngineThreadsFuzz) {
   Rng rng(1234);
   for (const DatasetId id : AllDatasets()) {
     const Dataset dataset = MakeDataset(id, 80, 11);
@@ -429,78 +427,87 @@ TEST(ParallelParity, MeasureEngineParallelMeasuresFuzz) {
 
     MeasureEngineOptions options;
     options.registry.include_mc = false;
-    options.parallel_measures = false;
     options.detector.num_threads = 1;
     const MeasureEngine reference(dataset.schema, dataset.constraints,
                                   options);
     const BatchReport expected = reference.EvaluateAll(db);
-    for (const size_t threads : {1u, 4u}) {
-      options.parallel_measures = true;
-      options.detector.num_threads = threads;
-      const MeasureEngine engine(dataset.schema, dataset.constraints,
-                                 options);
-      const BatchReport report = engine.EvaluateAll(db);
-      const std::string where = std::string("dataset ") + DatasetName(id) +
-                                " detector-threads=" + std::to_string(threads);
-      EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
-          << where;
-      EXPECT_EQ(expected.truncated, report.truncated) << where;
-      ASSERT_EQ(expected.measures.size(), report.measures.size()) << where;
-      for (size_t m = 0; m < expected.measures.size(); ++m) {
-        EXPECT_EQ(expected.measures[m].name, report.measures[m].name) << where;
-        EXPECT_EQ(expected.measures[m].value, report.measures[m].value)
-            << where << " measure " << expected.measures[m].name;
-      }
+    options.detector.num_threads = 4;
+    const MeasureEngine engine(dataset.schema, dataset.constraints, options);
+    const BatchReport report = engine.EvaluateAll(db);
+    const std::string where = std::string("dataset ") + DatasetName(id);
+    EXPECT_EQ(expected.num_minimal_subsets, report.num_minimal_subsets)
+        << where;
+    EXPECT_EQ(expected.truncated, report.truncated) << where;
+    ASSERT_EQ(expected.measures.size(), report.measures.size()) << where;
+    for (size_t m = 0; m < expected.measures.size(); ++m) {
+      EXPECT_EQ(expected.measures[m].name, report.measures[m].name) << where;
+      EXPECT_EQ(expected.measures[m].value, report.measures[m].value)
+          << where << " measure " << expected.measures[m].name;
     }
   }
 }
 
-// Nested fan-out: a compute that itself runs an OrderedParallelFor (the
-// shape of parallel measures triggering parallel detection). The consumer
-// helps execute unstarted chunks, so this completes even when every pool
-// worker is occupied by an outer chunk; pre-helping it could deadlock on a
-// saturated pool.
-TEST(OrderedParallelForTest, NestedFanOutCompletes) {
+// ---- OrderedStealingFor: the work-stealing range scheduler the detector
+// phases ride on.
+
+// Nested fan-out: a compute that itself runs an OrderedStealingFor. The
+// consumer helps compute unclaimed ranges while it waits, so this
+// completes even when every pool worker is occupied by an outer index;
+// without helping it could deadlock on a saturated pool.
+TEST(OrderedStealingForTest, NestedFanOutCompletes) {
   std::vector<size_t> outer_sums(8, 0);
-  OrderedParallelFor(
-      4, outer_sums.size(),
-      [&](size_t c) {
-        std::vector<size_t> inner(16, 0);
-        OrderedParallelFor(
-            4, inner.size(), [&](size_t i) { inner[i] = i + 1; },
-            [&](size_t i) {
-              outer_sums[c] += inner[i];
-              return true;
-            });
+  OrderedStealingFor(
+      4, outer_sums.size(), 1,
+      [&](IndexRange r) {
+        for (size_t c = r.begin; c < r.end; ++c) {
+          std::vector<size_t> inner(16, 0);
+          OrderedStealingFor(
+              4, inner.size(), 1,
+              [&](IndexRange ir) {
+                for (size_t i = ir.begin; i < ir.end; ++i) inner[i] = i + 1;
+              },
+              [&](IndexRange ir) {
+                for (size_t i = ir.begin; i < ir.end; ++i) {
+                  outer_sums[c] += inner[i];
+                }
+                return true;
+              });
+        }
       },
-      [&](size_t c) {
-        EXPECT_EQ(outer_sums[c], 136u);  // 1 + ... + 16
+      [&](IndexRange r) {
+        for (size_t c = r.begin; c < r.end; ++c) {
+          EXPECT_EQ(outer_sums[c], 136u);  // 1 + ... + 16
+        }
         return true;
       });
 }
 
-// The utility itself: ordered consumption with cancellation, every shape.
-TEST(OrderedParallelForTest, ConsumesInOrderAndCancels) {
+// Per-index ordered consumption with cancellation at grain 1, every
+// shape: the consumed indices are exactly the prefix before the veto.
+TEST(OrderedStealingForTest, ConsumesInOrderAndCancels) {
   for (const size_t threads : kThreadCounts) {
-    for (const size_t chunks : {0u, 1u, 7u, 64u}) {
+    for (const size_t n : {0u, 1u, 7u, 64u}) {
       std::vector<size_t> consumed;
-      std::vector<size_t> computed(chunks, 0);
-      OrderedParallelFor(
-          threads, chunks, [&](size_t c) { computed[c] = c + 1; },
-          [&](size_t c) {
-            EXPECT_EQ(computed[c], c + 1);  // compute happened-before
-            consumed.push_back(c);
-            return consumed.size() < 5;  // cancel after 5 chunks
+      std::vector<size_t> computed(n, 0);
+      OrderedStealingFor(
+          threads, n, 1,
+          [&](IndexRange r) {
+            for (size_t i = r.begin; i < r.end; ++i) computed[i] = i + 1;
+          },
+          [&](IndexRange r) {
+            for (size_t i = r.begin; i < r.end; ++i) {
+              EXPECT_EQ(computed[i], i + 1);  // compute happened-before
+              consumed.push_back(i);
+              if (consumed.size() == 5) return false;  // cancel after 5
+            }
+            return true;
           });
-      const size_t expected = std::min<size_t>(chunks, 5);
+      const size_t expected = std::min<size_t>(n, 5);
       ASSERT_EQ(consumed.size(), expected);
-      for (size_t c = 0; c < expected; ++c) EXPECT_EQ(consumed[c], c);
+      for (size_t i = 0; i < expected; ++i) EXPECT_EQ(consumed[i], i);
     }
   }
 }
-
-// ---- OrderedStealingFor: the work-stealing range scheduler both the
-// chunk-indexed OrderedParallelFor and the detector phases now ride on.
 
 // Claimed sub-ranges must be consumed as contiguous ascending coverage of
 // [0, n) — whatever the workers stole — and every index's compute must

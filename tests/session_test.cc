@@ -201,7 +201,6 @@ TEST(SessionBatch, EvaluateAllMatchesPerHandle) {
   MeasureSessionOptions options;
   options.registry.include_mc = false;
   options.detector.num_threads = 2;
-  options.parallel_measures = true;
   MeasureSession session(schema, dcs, options);
   const MeasureEngine fresh(schema, dcs, options);
   std::vector<DbHandle> handles;

@@ -3,7 +3,7 @@
 // Usage:
 //   dbim_cli --spec=constraints.dcs --data=facts.csv
 //            [--measures=I_d,I_MI,I_P,I_R,I_lin_R] [--mc] [--threads=N]
-//            [--parallel-measures] [--stats] [--json] [--shapley=N]
+//            [--stats] [--json] [--shapley=N]
 //            [--repair] [--export=clean.csv]
 //
 // The spec file declares one relation and its denial constraints:
@@ -20,8 +20,9 @@
 // Output: one line per requested measure; with --shapley=N the top-N
 // facts by I_MI Shapley blame; with --repair an optimal deletion repair;
 // with --export the repaired database is written back as CSV.
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -62,7 +63,7 @@ int Usage() {
       stderr,
       "usage: dbim_cli --spec=constraints.dcs --data=facts.csv\n"
       "                [--measures=I_d,I_MI,...] [--mc] [--threads=N]\n"
-      "                [--parallel-measures] [--stats] [--shapley=N]\n"
+      "                [--stats] [--json] [--shapley=N]\n"
       "                [--repair] [--export=out.csv]\n"
       "                [--window=count:N|ticks:N] [--approx=EPS]\n"
       "  --stats      print per-constraint probe/fire counters from the\n"
@@ -72,8 +73,7 @@ int Usage() {
       "               columns and form dbimd's STATS verb uses)\n"
       "  --threads=N  detection worker threads (default 1, 0 = hardware);\n"
       "               results are identical for every thread count\n"
-      "  --parallel-measures  evaluate the selected measures concurrently\n"
-      "               on the shared context (same values, overlapped time)\n"
+      "  --shapley=N  also list the top N >= 1 facts by I_MI Shapley blame\n"
       "  --window=count:N|ticks:N  replay the CSV as a stream (row index =\n"
       "               logical tick) through a sliding window and report the\n"
       "               final window's measures plus slide counters\n"
@@ -92,6 +92,14 @@ int main(int argc, char** argv) {
   std::string error;
   if (!SessionOptionsFromFlags(argc, argv, &options, &error)) {
     std::fprintf(stderr, "dbim_cli: %s\n", error.c_str());
+    return Usage();
+  }
+  const std::string shapley_flag = FlagValue(argc, argv, "shapley");
+  uint64_t shapley_top = 0;
+  if (!shapley_flag.empty() &&
+      (!ParseUint(shapley_flag, SIZE_MAX, &shapley_top) || shapley_top == 0)) {
+    std::fprintf(stderr, "dbim_cli: invalid --shapley=%s (want an integer "
+                 ">= 1)\n", shapley_flag.c_str());
     return Usage();
   }
 
@@ -185,9 +193,8 @@ int main(int argc, char** argv) {
     session.Unregister(handle);
   }
 
-  const std::string shapley_flag = FlagValue(argc, argv, "shapley");
-  if (!shapley_flag.empty()) {
-    const size_t top = std::strtoull(shapley_flag.c_str(), nullptr, 10);
+  if (shapley_top > 0) {
+    const size_t top = shapley_top;
     auto shares = ShapleyMiValues(context);
     std::sort(shares.begin(), shares.end(),
               [](const auto& a, const auto& b) { return a.second > b.second; });

@@ -3,6 +3,7 @@
 // Usage:
 //   dbimd --spec=constraints.dcs [--port=7411] [--workers=4] [--queue=256]
 //         [--threads=N] [--measures=I_d,I_MI,...] [--mc]
+//         [--window=count:N|ticks:N] [--approx=EPS]
 //         [--data-dir=DIR] [--no-sync] [--wal-batch=64]
 //         [--checkpoint-bytes=N]
 //   dbimd --example [--port=7411] ...
@@ -81,6 +82,7 @@ int Usage() {
       "usage: dbimd --spec=constraints.dcs | --example\n"
       "             [--port=7411] [--workers=4] [--queue=256]\n"
       "             [--threads=N] [--measures=I_d,I_MI,...] [--mc]\n"
+      "             [--window=count:N|ticks:N] [--approx=EPS]\n"
       "             [--data-dir=DIR] [--no-sync] [--wal-batch=64]\n"
       "             [--checkpoint-bytes=N]\n"
       "  --port=N     listen port on 127.0.0.1 (0 = ephemeral; the bound\n"
@@ -88,6 +90,11 @@ int Usage() {
       "  --workers=N  worker threads draining session queues\n"
       "  --queue=N    per-session admission bound (full => ERR BUSY)\n"
       "  --threads=N  detection worker threads per evaluation\n"
+      "  --window=count:N  sliding window keeping the newest N facts\n"
+      "  --window=ticks:N  sliding window keeping facts from the last N\n"
+      "               logical ticks (see streaming/stream_session.h)\n"
+      "  --approx=EPS sampling-based estimators with absolute-rate error\n"
+      "               EPS in (0, 1] (see streaming/approx.h)\n"
       "  --data-dir=DIR  durable sessions: WAL + columnar segments in DIR;\n"
       "               on restart every session is recovered and served\n"
       "               bit-identically (clients REGISTER ... ATTACH)\n"
