@@ -31,6 +31,12 @@ RepairInstance BuildRepairInstance(const ConflictGraph& cg) {
     std::sort(e.begin(), e.end());
     inst.hyper.push_back(std::move(e));
   }
+  // MI order is maintenance order on a session handle and discovery order
+  // on a fresh detection. The simplex's row order decides its floating-
+  // point path and which of several tied optimal covers I_R reports, so
+  // the rows are put in one canonical order (the edges already are, by
+  // Normalize): values stay a function of (Sigma, D) alone.
+  std::sort(inst.hyper.begin(), inst.hyper.end());
 
   if (inst.binary()) {
     inst.components = inst.graph.ComponentSubgraphs();

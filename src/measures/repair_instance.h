@@ -26,7 +26,8 @@ struct RepairInstance {
   std::vector<uint32_t> relabel;  // cg vertex -> live index
   std::vector<double> weights;    // per live vertex
   SimpleGraph graph{0};           // binary witnesses, normalized
-  std::vector<std::vector<uint32_t>> hyper;  // size >= 3 witnesses, sorted
+  // Size >= 3 witnesses, each sorted, in lexicographic order.
+  std::vector<std::vector<uint32_t>> hyper;
 
   /// Binary Sigma only (no hyperedges): the components of `graph`.
   ComponentSplit components;

@@ -213,10 +213,9 @@ std::vector<MeasureResult> MeasureSession::Evaluate(
 BatchReport MeasureSession::ReportOn(MeasureContext& context,
                                      double detection_seconds) const {
   BatchReport report;
-  const ViolationSet& violations = context.violations();
   report.detection_seconds = detection_seconds;
-  report.num_minimal_subsets = violations.num_minimal_subsets();
-  report.truncated = violations.truncated();
+  report.num_minimal_subsets = context.num_minimal_subsets();
+  report.truncated = context.truncated();
   report.measures = Evaluate(context);
   return report;
 }
@@ -224,10 +223,10 @@ BatchReport MeasureSession::ReportOn(MeasureContext& context,
 BatchReport MeasureSession::EvaluateState(const HandleState& state) const {
   std::lock_guard<std::mutex> handle_lock(state.mu);
   if (state.incremental) {
-    Timer snapshot;
-    MeasureContext context(detector_, state.db,
-                           state.incremental->Snapshot());
-    return ReportOn(context, snapshot.Seconds());
+    // The context reads the index in place; it must not outlive the handle
+    // lock, which keeps Apply off the index while the measures run.
+    MeasureContext context(detector_, *state.incremental);
+    return ReportOn(context, 0.0);
   }
   num_full_detections_.fetch_add(1, std::memory_order_relaxed);
   Timer detection;

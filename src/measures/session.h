@@ -179,9 +179,9 @@ struct MeasureResult {
 
 /// Result of evaluating a registry over one (Sigma, D) pair.
 struct BatchReport {
-  /// Wall time spent obtaining MI_Sigma(D): the single FindViolations pass,
-  /// or — on a session handle with incremental maintenance — the snapshot
-  /// of the maintained set.
+  /// Wall time spent obtaining MI_Sigma(D): the single FindViolations pass;
+  /// 0 on a session handle with incremental maintenance, whose maintained
+  /// index the measures read in place.
   double detection_seconds = 0.0;
   size_t num_minimal_subsets = 0;
   bool truncated = false;
@@ -212,9 +212,10 @@ struct BatchReport {
 ///    re-detecting (capped/deadlined detection falls back to full
 ///    detection transparently);
 ///  * `Evaluate(handle)` reports all selected measures; with incremental
-///    maintenance the "detection" step is a snapshot of the maintained
-///    set. Reports are bit-identical to a fresh MeasureEngine over an
-///    equal database;
+///    maintenance there is no detection step — the measures read the
+///    maintained index in place (counts from its counters, the conflict
+///    graph from its live subsets). Reports are bit-identical to a fresh
+///    MeasureEngine over an equal database;
 ///  * `EvaluateAll(handles)` evaluates several databases in one call
 ///    under one shared session lock (e.g. a trajectory's sample points);
 ///  * the auto-vacuum hook compacts the shared pool (and the incremental
@@ -282,8 +283,9 @@ class MeasureSession {
   std::optional<FactId> Apply(DbHandle handle, const RepairOperation& op);
 
   /// Evaluates every selected measure over the handle's database. With
-  /// incremental maintenance no detection pass runs — the maintained MI
-  /// set is snapshotted instead.
+  /// incremental maintenance no detection pass runs and no MI set is
+  /// copied: the measures get an index-backed MeasureContext, valid for
+  /// the duration of the call under the handle lock.
   BatchReport Evaluate(DbHandle handle) const;
 
   /// Batch evaluation across databases: one report per handle, in order,
@@ -302,9 +304,10 @@ class MeasureSession {
   /// may already hold cached violations — no re-detection happens here).
   std::vector<MeasureResult> Evaluate(MeasureContext& context) const;
 
-  /// The handle's current MI_Sigma(D): the maintained snapshot when
-  /// incremental, a full detection pass otherwise. Feed it to a
+  /// The handle's current MI_Sigma(D): a Snapshot() of the maintained
+  /// index when incremental, a full detection pass otherwise. Feed it to a
   /// MeasureContext to share with Shapley ranking or repair planning.
+  /// Evaluate does not go through it.
   ViolationSet Violations(DbHandle handle) const;
 
   /// Fraction of shared-pool entries no registered database references.
@@ -329,9 +332,9 @@ class MeasureSession {
 
   /// Full FindViolations passes run on behalf of registered handles — the
   /// incremental-maintenance fallback counter. Zero for an uncapped
-  /// session, whatever the constraint arity: Evaluate snapshots instead of
-  /// re-detecting. (EvaluateOne, serving unregistered databases, is not
-  /// counted.)
+  /// session, whatever the constraint arity: Evaluate reads the maintained
+  /// index instead of re-detecting. (EvaluateOne, serving unregistered
+  /// databases, is not counted.)
   size_t num_full_detections() const {
     return num_full_detections_.load(std::memory_order_relaxed);
   }

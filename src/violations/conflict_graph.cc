@@ -6,43 +6,64 @@
 
 namespace dbim {
 
+ConflictGraph::ConflictGraph(const Database& db,
+                             std::vector<FactId> problematic,
+                             size_t num_subsets)
+    : fact_of_(std::move(problematic)),
+      self_inconsistent_(fact_of_.size(), false) {
+  weights_.reserve(fact_of_.size());
+  for (const FactId id : fact_of_) weights_.push_back(db.deletion_cost(id));
+  edges_.reserve(num_subsets);
+}
+
+ConflictGraph::VertexTable::VertexTable(const ConflictGraph& g) : g_(g) {
+  const std::vector<FactId>& facts = g.fact_of_;
+  if (facts.empty() || facts.back() / kMaxSpread > facts.size()) return;
+  vertex_by_id_.assign(static_cast<size_t>(facts.back()) + 1, UINT32_MAX);
+  for (uint32_t v = 0; v < facts.size(); ++v) vertex_by_id_[facts[v]] = v;
+}
+
+uint32_t ConflictGraph::VertexTable::operator()(FactId id) const {
+  if (vertex_by_id_.empty()) return g_.vertex_of(id);
+  DBIM_CHECK_MSG(id < vertex_by_id_.size() && vertex_by_id_[id] != UINT32_MAX,
+                 "fact %u is not problematic", id);
+  return vertex_by_id_[id];
+}
+
+void ConflictGraph::AddSubset(const VertexTable& vertex,
+                              const std::vector<FactId>& subset) {
+  if (subset.size() == 1) {
+    const uint32_t v = vertex(subset[0]);
+    if (!self_inconsistent_[v]) {
+      self_inconsistent_[v] = true;
+      ++num_self_inconsistent_;
+    }
+  } else if (subset.size() == 2) {
+    edges_.emplace_back(vertex(subset[0]), vertex(subset[1]));
+  } else {
+    std::vector<uint32_t> he;
+    he.reserve(subset.size());
+    for (const FactId id : subset) he.push_back(vertex(id));
+    hyperedges_.push_back(std::move(he));
+  }
+}
+
 ConflictGraph ConflictGraph::Build(const Database& db,
                                    const ViolationSet& violations) {
-  ConflictGraph g;
-  const std::vector<FactId> problematic = violations.ProblematicFacts();
-  g.fact_of_ = problematic;
-  g.vertex_of_.reserve(problematic.size());
-  for (uint32_t v = 0; v < problematic.size(); ++v) {
-    g.vertex_of_.emplace(problematic[v], v);
-  }
-  g.self_inconsistent_.assign(problematic.size(), false);
-  g.weights_.resize(problematic.size());
-  for (uint32_t v = 0; v < problematic.size(); ++v) {
-    g.weights_[v] = db.deletion_cost(problematic[v]);
-  }
-  for (const auto& subset : violations.minimal_subsets()) {
-    if (subset.size() == 1) {
-      const uint32_t v = g.vertex_of(subset[0]);
-      if (!g.self_inconsistent_[v]) {
-        g.self_inconsistent_[v] = true;
-        ++g.num_self_inconsistent_;
-      }
-    } else if (subset.size() == 2) {
-      g.edges_.emplace_back(g.vertex_of(subset[0]), g.vertex_of(subset[1]));
-    } else {
-      std::vector<uint32_t> he;
-      he.reserve(subset.size());
-      for (const FactId id : subset) he.push_back(g.vertex_of(id));
-      g.hyperedges_.push_back(std::move(he));
-    }
-  }
-  return g;
+  return FromSubsets(db, violations.ProblematicFacts(),
+                     violations.num_minimal_subsets(), [&](auto&& visit) {
+                       for (const auto& subset :
+                            violations.minimal_subsets()) {
+                         visit(subset);
+                       }
+                     });
 }
 
 uint32_t ConflictGraph::vertex_of(FactId id) const {
-  const auto it = vertex_of_.find(id);
-  DBIM_CHECK_MSG(it != vertex_of_.end(), "fact %u is not problematic", id);
-  return it->second;
+  const auto it = std::lower_bound(fact_of_.begin(), fact_of_.end(), id);
+  DBIM_CHECK_MSG(it != fact_of_.end() && *it == id,
+                 "fact %u is not problematic", id);
+  return static_cast<uint32_t>(it - fact_of_.begin());
 }
 
 std::vector<std::vector<uint32_t>> ConflictGraph::AdjacencyLists() const {

@@ -1,8 +1,8 @@
 #ifndef DBIM_VIOLATIONS_CONFLICT_GRAPH_H_
 #define DBIM_VIOLATIONS_CONFLICT_GRAPH_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -24,18 +24,44 @@ namespace dbim {
 ///    sets must exclude them;
 ///  * weights: per-fact deletion costs, so that minimum weighted vertex
 ///    cover equals I_R and the fractional relaxation equals I_lin_R.
+///
+/// Vertices are numbered by ascending fact id; edges and hyperedges keep
+/// the order in which their subsets were fed. Both sources of MI feed the
+/// one builder, FromSubsets: a ViolationSet through Build, and a session's
+/// incrementally maintained index (IncrementalViolationIndex::
+/// BuildConflictGraph) straight from its live subsets, with no
+/// intermediate ViolationSet.
 class ConflictGraph {
  public:
+  /// The builder. `problematic` is the vertex set: the union of the
+  /// subsets, ascending and duplicate-free. `for_each_subset(visit)` calls
+  /// `visit(const std::vector<FactId>&)` once per minimal subset (sorted
+  /// ids), in MI order; `num_subsets` is a capacity hint.
+  template <typename ForEachSubset>
+  static ConflictGraph FromSubsets(const Database& db,
+                                   std::vector<FactId> problematic,
+                                   size_t num_subsets,
+                                   ForEachSubset&& for_each_subset) {
+    ConflictGraph g(db, std::move(problematic), num_subsets);
+    const VertexTable table(g);
+    for_each_subset([&](const std::vector<FactId>& subset) {
+      g.AddSubset(table, subset);
+    });
+    return g;
+  }
+
+  /// FromSubsets over `violations.minimal_subsets()`.
   static ConflictGraph Build(const Database& db,
                              const ViolationSet& violations);
 
   size_t num_vertices() const { return fact_of_.size(); }
   FactId fact_of(uint32_t v) const { return fact_of_[v]; }
 
-  /// Vertex of a fact; the fact must be problematic.
+  /// Vertex of a fact; the fact must be problematic. A binary search over
+  /// the ascending vertex -> fact list: the graph keeps no reverse map.
   uint32_t vertex_of(FactId id) const;
   bool IsProblematic(FactId id) const {
-    return vertex_of_.count(id) > 0;
+    return std::binary_search(fact_of_.begin(), fact_of_.end(), id);
   }
 
   const std::vector<std::pair<uint32_t, uint32_t>>& edges() const {
@@ -57,8 +83,27 @@ class ConflictGraph {
   std::vector<std::vector<uint32_t>> AdjacencyLists() const;
 
  private:
-  std::vector<FactId> fact_of_;
-  std::unordered_map<FactId, uint32_t> vertex_of_;
+  // The builder's fact -> vertex lookup, alive for one subset pass. Fact
+  // ids are row locators, dense below the database's id range, so a table
+  // indexed by id answers each member with one load; an id set sparser
+  // than that (largest id past kMaxSpread per vertex) falls back to
+  // vertex_of's binary search.
+  class VertexTable {
+   public:
+    explicit VertexTable(const ConflictGraph& g);
+    uint32_t operator()(FactId id) const;
+
+   private:
+    static constexpr size_t kMaxSpread = 16;
+    const ConflictGraph& g_;
+    std::vector<uint32_t> vertex_by_id_;  // empty: binary search
+  };
+
+  ConflictGraph(const Database& db, std::vector<FactId> problematic,
+                size_t num_subsets);
+  void AddSubset(const VertexTable& vertex, const std::vector<FactId>& subset);
+
+  std::vector<FactId> fact_of_;  // ascending
   std::vector<std::pair<uint32_t, uint32_t>> edges_;
   std::vector<std::vector<uint32_t>> hyperedges_;
   std::vector<bool> self_inconsistent_;

@@ -751,18 +751,4 @@ bool ViolationDetector::Satisfies(const Database& db) const {
   return Detect(db, fast).empty();
 }
 
-ViolationSet ViolationDetector::FindViolationsInvolving(const Database& db,
-                                                        FactId id) const {
-  DBIM_CHECK(db.Contains(id));
-  ViolationSet all = FindViolations(db);
-  ViolationSet out;
-  out.set_truncated(all.truncated());
-  for (const auto& subset : all.minimal_subsets()) {
-    if (std::binary_search(subset.begin(), subset.end(), id)) {
-      out.Add(subset);
-    }
-  }
-  return out;
-}
-
 }  // namespace dbim

@@ -89,11 +89,6 @@ class ViolationDetector {
   /// Whether `db` satisfies every constraint (early exit on first witness).
   bool Satisfies(const Database& db) const;
 
-  /// Minimal inconsistent subsets that include fact `id` — the witnesses a
-  /// deletion of `id` would resolve. Used by incremental measure updates and
-  /// the prioritization example.
-  ViolationSet FindViolationsInvolving(const Database& db, FactId id) const;
-
   /// Cumulative probe/fire counters for constraint `c` across every
   /// detection this detector has run (watcher_count stays 0). Thread-safe.
   ConstraintStats constraint_stats(size_t c) const;

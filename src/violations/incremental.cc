@@ -592,14 +592,28 @@ size_t IncrementalViolationIndex::NumProblematicFacts() const {
   return problematic_count_.size();
 }
 
+ConflictGraph IncrementalViolationIndex::BuildConflictGraph() const {
+  // The vertex list comes from the membership counts (one entry per
+  // problematic fact), not from re-deriving the union of every member.
+  std::vector<FactId> problematic;
+  problematic.reserve(problematic_count_.size());
+  for (const auto& [id, count] : problematic_count_) problematic.push_back(id);
+  std::sort(problematic.begin(), problematic.end());
+  return ConflictGraph::FromSubsets(
+      *db_, std::move(problematic), live_subsets_, [&](auto&& visit) {
+        ForEachLiveSubset(
+            [&](const std::vector<FactId>& facts, uint32_t) { visit(facts); });
+      });
+}
+
 ViolationSet IncrementalViolationIndex::Snapshot() const {
   ViolationSet out;
-  for (const StoredSubset& stored : subsets_) {
-    if (!stored.alive) continue;
-    // Add dedups the subset list but counts every call, so adding the
-    // subset `multiplicity` times reproduces num_minimal_violations().
-    for (uint32_t m = 0; m < stored.multiplicity; ++m) out.Add(stored.facts);
-  }
+  out.reserve(live_subsets_);
+  // Live slots carry distinct canonical keys (IndexSubset merges a
+  // re-derived subset into its slot), so every Add here is kept, and the
+  // derivation counts add up to num_minimal_violations().
+  ForEachLiveSubset([&](const std::vector<FactId>& facts,
+                        uint32_t derivations) { out.Add(facts, derivations); });
   return out;
 }
 

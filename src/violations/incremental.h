@@ -11,6 +11,7 @@
 
 #include "constraints/dc.h"
 #include "relational/operations.h"
+#include "violations/conflict_graph.h"
 #include "violations/detector.h"
 #include "violations/eval_kernel.h"
 #include "violations/violation.h"
@@ -108,11 +109,33 @@ class IncrementalViolationIndex {
 
   bool IsConsistent() const { return live_subsets_ == 0; }
 
-  /// Materializes the current MI set (e.g. to hand to ConflictGraph or a
-  /// MeasureContext). Subset order is maintenance order, not the batch
-  /// detector's discovery order; every measure value is invariant to it
-  /// (the conflict graph numbers vertices by sorted fact id and normalizes
-  /// its edge list).
+  /// Calls `fn(const std::vector<FactId>& facts, uint32_t derivations)`
+  /// once per live subset, in slot order: the order Snapshot() and
+  /// BuildConflictGraph() see them. `derivations` is the subset's share of
+  /// NumMinimalViolations().
+  template <typename Fn>
+  void ForEachLiveSubset(Fn&& fn) const {
+    for (const StoredSubset& stored : subsets_) {
+      if (stored.alive) fn(stored.facts, stored.multiplicity);
+    }
+  }
+
+  /// The conflict graph of the maintained MI set, fed to the ConflictGraph
+  /// builder straight from the live slots in slot order, with the vertex
+  /// list taken from the problematic-fact counts. Equal field by field to
+  /// ConflictGraph::Build(db(), Snapshot()), without materializing the
+  /// snapshot. This is how MeasureSession::Evaluate reaches the measures.
+  ConflictGraph BuildConflictGraph() const;
+
+  /// Copies the current MI set out of the index, one Add per live slot in
+  /// slot order (each carrying its derivation count). Subset order is
+  /// maintenance order, not the batch detector's discovery order; every
+  /// measure value is invariant to it (the conflict graph numbers vertices
+  /// by sorted fact id, and the repair instance puts its edge and
+  /// hyperedge rows in canonical order). Session reports do
+  /// not go through it (see BuildConflictGraph); it serves
+  /// MeasureSession::Violations and the lazy violations() of an
+  /// index-backed MeasureContext (Shapley blame reads the subsets).
   ViolationSet Snapshot() const;
 
   /// Stored subset slots, live + dead. Dead slots accumulate under

@@ -21,12 +21,17 @@ uint64_t SubsetKey(const std::vector<FactId>& subset) {
 
 }  // namespace
 
-void ViolationSet::Add(std::vector<FactId> subset) {
+void ViolationSet::Add(std::vector<FactId> subset, size_t derivations) {
   DBIM_CHECK(!subset.empty());
   DBIM_CHECK(std::is_sorted(subset.begin(), subset.end()));
-  ++num_minimal_violations_;
+  num_minimal_violations_ += derivations;
   if (!seen_.insert(SubsetKey(subset)).second) return;
   subsets_.push_back(std::move(subset));
+}
+
+void ViolationSet::reserve(size_t num_subsets) {
+  subsets_.reserve(num_subsets);
+  seen_.reserve(num_subsets);
 }
 
 std::vector<FactId> ViolationSet::ProblematicFacts() const {

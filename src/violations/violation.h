@@ -25,10 +25,14 @@ class ViolationSet {
  public:
   ViolationSet() = default;
 
-  /// Adds a minimal inconsistent subset (sorted, distinct ids); duplicates
-  /// across constraints are ignored for the subset list but still counted as
+  /// Adds a minimal inconsistent subset (sorted, distinct ids) with
+  /// `derivations` minimal violations behind it; duplicates across
+  /// constraints are ignored for the subset list but still counted as
   /// minimal violations.
-  void Add(std::vector<FactId> subset);
+  void Add(std::vector<FactId> subset, size_t derivations = 1);
+
+  /// Reserves room for `num_subsets` distinct subsets.
+  void reserve(size_t num_subsets);
 
   void set_truncated(bool t) { truncated_ = t; }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "constraints/parser.h"
 #include "test_util.h"
 #include "violations/conflict_graph.h"
@@ -8,6 +10,7 @@
 namespace dbim {
 namespace {
 
+using testing::MakeAbcSchema;
 using testing::MakeRunningExample;
 
 TEST(Detector, RunningExampleD1MinimalSubsets) {
@@ -172,14 +175,19 @@ TEST(Detector, MaxSubsetsCapTruncates) {
   EXPECT_TRUE(violations.truncated());
 }
 
-TEST(Detector, FindViolationsInvolvingFiltersById) {
+TEST(Detector, ViolationsInvolvingFactFilterById) {
   const auto example = MakeRunningExample();
   const ViolationDetector detector(example.schema, example.dcs);
-  const ViolationSet involving =
-      detector.FindViolationsInvolving(example.d1, 1);
+  const ViolationSet all = detector.FindViolations(example.d1);
+  std::vector<std::vector<FactId>> involving;
+  for (const auto& subset : all.minimal_subsets()) {
+    if (std::binary_search(subset.begin(), subset.end(), FactId{1})) {
+      involving.push_back(subset);
+    }
+  }
   // f1 participates only in the pair {f1, f5}.
-  ASSERT_EQ(involving.num_minimal_subsets(), 1u);
-  EXPECT_EQ(involving.minimal_subsets()[0], (std::vector<FactId>{1, 5}));
+  ASSERT_EQ(involving.size(), 1u);
+  EXPECT_EQ(involving[0], (std::vector<FactId>{1, 5}));
 }
 
 TEST(Detector, ViolatingPairRatio) {
@@ -216,6 +224,43 @@ TEST(ConflictGraph, WeightsReflectDeletionCosts) {
       ConflictGraph::Build(weighted, detector.FindViolations(weighted));
   EXPECT_DOUBLE_EQ(graph.weights()[graph.vertex_of(2)], 7.5);
   EXPECT_DOUBLE_EQ(graph.weights()[graph.vertex_of(3)], 1.0);
+}
+
+// Vertex lookup during the build: a direct table over dense ids, a
+// binary search when the ids are too sparse for one. Both number the
+// problematic facts by ascending id and keep subset order.
+TEST(ConflictGraph, DenseAndSparseIdsBuildAlike) {
+  const auto schema = MakeAbcSchema();
+  for (const FactId scale : {1u, 1000u}) {
+    Database db(schema);
+    for (const FactId id : {2u, 5u, 7u, 9u}) {
+      db.InsertWithId(id * scale,
+                      Fact(0, {Value(int64_t{1}), Value(int64_t{2}),
+                               Value(int64_t{3})}));
+    }
+    db.set_deletion_cost(7 * scale, 0.3);
+    ViolationSet violations;
+    violations.Add({2 * scale, 9 * scale});
+    violations.Add({5 * scale});
+    violations.Add({2 * scale, 7 * scale, 9 * scale});
+    violations.Add({7 * scale, 9 * scale});
+    const ConflictGraph graph = ConflictGraph::Build(db, violations);
+    ASSERT_EQ(graph.num_vertices(), 4u) << scale;
+    EXPECT_EQ(graph.weights(), (std::vector<double>{1.0, 1.0, 0.3, 1.0}));
+    for (uint32_t v = 0; v < 4; ++v) {
+      EXPECT_EQ(graph.fact_of(v), (std::vector<FactId>{2, 5, 7, 9})[v] * scale);
+      EXPECT_EQ(graph.vertex_of(graph.fact_of(v)), v);
+    }
+    EXPECT_FALSE(graph.IsProblematic(3 * scale));
+    using Edges = std::vector<std::pair<uint32_t, uint32_t>>;
+    EXPECT_EQ(graph.edges(), (Edges{{0, 3}, {2, 3}})) << scale;
+    EXPECT_EQ(graph.hyperedges(),
+              (std::vector<std::vector<uint32_t>>{{0, 2, 3}}))
+        << scale;
+    EXPECT_EQ(graph.self_inconsistent(),
+              (std::vector<bool>{false, true, false, false}))
+        << scale;
+  }
 }
 
 TEST(ConflictGraph, AdjacencyListsMatchEdges) {

@@ -4,11 +4,14 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/value_pool.h"
 #include "constraints/parser.h"
 #include "constraints/predicate.h"
 #include "datagen/datasets.h"
 #include "datagen/noise.h"
+#include "measures/session.h"
 #include "test_util.h"
+#include "violations/conflict_graph.h"
 #include "violations/incremental.h"
 
 namespace dbim {
@@ -343,6 +346,222 @@ TEST(SlotCompaction, ChurnStaysBoundedUnderPeriodicCompaction) {
     ExpectAgrees(index, schema, dcs,
                  "post-compaction step " + std::to_string(step));
   }
+}
+
+// ---- reading the live slots: Snapshot and the conflict graph ----
+
+// A random repairing operation valid against `db`: delete, fresh insert,
+// duplicate insert (repeated-fact assignments) or single-cell update.
+RepairOperation RandomOp(const Database& db, Rng& rng, int64_t domain) {
+  const std::vector<FactId> ids = db.ids();
+  const size_t kind = ids.empty() ? 1 : rng.UniformIndex(4);
+  auto draw = [&] {
+    return Value(static_cast<int64_t>(rng.UniformInt(0, domain - 1)));
+  };
+  if (kind == 0) {
+    return RepairOperation::Deletion(ids[rng.UniformIndex(ids.size())]);
+  }
+  if (kind == 1) {
+    return RepairOperation::Insertion(Fact(0, {draw(), draw(), draw()}));
+  }
+  if (kind == 2) {
+    return RepairOperation::Insertion(
+        db.fact(ids[rng.UniformIndex(ids.size())]));
+  }
+  const FactId id = ids[rng.UniformIndex(ids.size())];
+  const auto attr = static_cast<AttrIndex>(rng.UniformIndex(3));
+  return RepairOperation::Update(id, attr, draw());
+}
+
+// Non-unit deletion costs from a decimal palette with ties.
+void AssignDecimalCosts(Database& db, uint64_t seed) {
+  static constexpr double kPalette[] = {0.1, 0.3, 0.7, 1.3};
+  Rng rng(seed);
+  db.ForEachId([&](FactId id) {
+    db.set_deletion_cost(id, kPalette[rng.UniformIndex(4)]);
+  });
+}
+
+// Snapshot as it was before ViolationSet::Add took a derivation count:
+// one Add per derivation, every repeat dropped as a duplicate.
+ViolationSet PerDerivationSnapshot(const IncrementalViolationIndex& index) {
+  ViolationSet out;
+  index.ForEachLiveSubset(
+      [&](const std::vector<FactId>& facts, uint32_t derivations) {
+        for (uint32_t m = 0; m < derivations; ++m) out.Add(facts);
+      });
+  return out;
+}
+
+// Subsets with several derivations — a pair both FDs derive, k-ary
+// supports reached by several assignments — snapshot with one Add each,
+// carrying the count: the same subsets in the same order, the same
+// violation count, as one Add per derivation.
+TEST(Snapshot, DerivationCountsMatchPerDerivationAdds) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.C != t'.C)"));
+  dcs.push_back(ChainDc3());
+  const Database start = MakeRandomDatabase(schema, 0, 16, 3, 404);
+  IncrementalViolationIndex index(schema, dcs, start);
+  Rng rng(405);
+  uint32_t max_derivations = 0;
+  for (int step = 0; step <= 30; ++step) {
+    if (step > 0) index.Apply(RandomOp(index.db(), rng, 3));
+    if (step == 20) index.CompactSlots();
+    index.ForEachLiveSubset([&](const std::vector<FactId>&, uint32_t d) {
+      max_derivations = std::max(max_derivations, d);
+    });
+    const std::string where = "step " + std::to_string(step);
+    const ViolationSet expected = PerDerivationSnapshot(index);
+    const ViolationSet got = index.Snapshot();
+    EXPECT_EQ(got.minimal_subsets(), expected.minimal_subsets()) << where;
+    EXPECT_EQ(got.num_minimal_violations(), expected.num_minimal_violations())
+        << where;
+    EXPECT_EQ(got.truncated(), expected.truncated()) << where;
+    EXPECT_EQ(got.num_minimal_violations(), index.NumMinimalViolations())
+        << where;
+    ExpectAgrees(index, schema, dcs, where);
+  }
+  EXPECT_GT(max_derivations, 1u) << "no subset with several derivations";
+}
+
+void ExpectSameGraph(const ConflictGraph& expected,
+                     const ConflictGraph& actual, const std::string& where) {
+  ASSERT_EQ(expected.num_vertices(), actual.num_vertices()) << where;
+  for (uint32_t v = 0; v < expected.num_vertices(); ++v) {
+    EXPECT_EQ(expected.fact_of(v), actual.fact_of(v)) << where;
+  }
+  EXPECT_EQ(expected.edges(), actual.edges()) << where;
+  EXPECT_EQ(expected.hyperedges(), actual.hyperedges()) << where;
+  EXPECT_EQ(expected.self_inconsistent(), actual.self_inconsistent())
+      << where;
+  EXPECT_EQ(expected.num_self_inconsistent(), actual.num_self_inconsistent())
+      << where;
+  EXPECT_EQ(expected.weights(), actual.weights()) << where;
+}
+
+// What the graphs compared so far held, so the fuzz can show it reached
+// every kind of witness.
+struct GraphTally {
+  size_t edges = 0;
+  size_t hyperedges = 0;
+  size_t self_inconsistent = 0;
+};
+
+// The index-built graph equals the graph built from its snapshot.
+void ExpectGraphFromLiveSlots(const IncrementalViolationIndex& index,
+                              const std::string& where, GraphTally* tally) {
+  const ConflictGraph expected =
+      ConflictGraph::Build(index.db(), index.Snapshot());
+  ExpectSameGraph(expected, index.BuildConflictGraph(), where);
+  tally->edges += expected.edges().size();
+  tally->hyperedges += expected.hyperedges().size();
+  tally->self_inconsistent += expected.num_self_inconsistent();
+}
+
+class OneGraphTwoSources : public ::testing::TestWithParam<int> {};
+
+// Random binary and k-ary trajectories with self-inconsistent facts and
+// non-unit deletion costs: at every sample point the conflict graph fed
+// straight from the live slots equals ConflictGraph::Build over Snapshot(),
+// field by field — with dead slots pending, after CompactSlots(), and
+// after what a session vacuum does to an index (re-intern onto a fresh
+// pool, then compact).
+TEST_P(OneGraphTwoSources, IndexGraphEqualsSnapshotGraph) {
+  const int seed = GetParam();
+  const auto schema = MakeAbcSchema();
+  const DenialConstraint unary =
+      *ParseDc(*schema, 0, "!(t.A < t.B & t.B <= t.C)");
+  std::vector<DenialConstraint> binary;
+  binary.push_back(unary);
+  binary.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  binary.push_back(*ParseDc(*schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  // Three facts agreeing on A with pairwise distinct B: every repeated-fact
+  // assignment falsifies a !=, so the witnesses are genuine triples.
+  std::vector<Predicate> triangle;
+  triangle.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+  triangle.emplace_back(Operand{1, 0}, CompareOp::kEq, Operand{2, 0});
+  triangle.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
+  triangle.emplace_back(Operand{1, 1}, CompareOp::kNe, Operand{2, 1});
+  triangle.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{2, 1});
+  std::vector<DenialConstraint> kary;
+  kary.push_back(unary);
+  kary.push_back(*ParseDc(*schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  kary.emplace_back(std::vector<RelationId>(3, 0), std::move(triangle));
+  for (const bool is_kary : {false, true}) {
+    const std::vector<DenialConstraint>& dcs = is_kary ? kary : binary;
+    GraphTally tally;
+    const int64_t domain = is_kary ? 3 : 4;
+    Database start =
+        MakeRandomDatabase(schema, 0, is_kary ? 20 : 40, domain, 900 + seed);
+    AssignDecimalCosts(start, 901 + seed);
+    IncrementalViolationIndex index(schema, dcs, start);
+    Rng rng(902 + seed);
+    const std::string name =
+        std::string(is_kary ? "k-ary" : "binary") + " seed=" +
+        std::to_string(seed);
+    ExpectGraphFromLiveSlots(index, name + " initial", &tally);
+    for (int step = 1; step <= 40; ++step) {
+      index.Apply(RandomOp(index.db(), rng, domain));
+      const std::string where = name + " step " + std::to_string(step);
+      if (step % 3 == 0) ExpectGraphFromLiveSlots(index, where, &tally);
+      if (step % 10 == 0) {
+        index.CompactSlots();
+        ExpectGraphFromLiveSlots(index, where + " compacted", &tally);
+      }
+      if (step % 16 == 0) {
+        index.mutable_db().ReinternInto(std::make_shared<ValuePool>());
+        index.CompactSlotsIfWasteful(0.0);
+        ExpectGraphFromLiveSlots(index, where + " re-interned", &tally);
+      }
+    }
+    EXPECT_GT(tally.edges, 0u) << name;
+    EXPECT_GT(tally.self_inconsistent, 0u) << name;
+    if (is_kary) EXPECT_GT(tally.hyperedges, 0u) << name;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, OneGraphTwoSources, ::testing::Range(0, 8));
+
+// Through a session with forced vacuums: the report Evaluate builds from
+// the index equals the suite evaluated over a context holding the handle's
+// Violations() snapshot, value for value.
+TEST(OneGraphTwoSourcesSession, ReportEqualsSnapshotContextAcrossVacuums) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(ChainDc3());
+  Database start = MakeRandomDatabase(schema, 0, 18, 4, 911);
+  AssignDecimalCosts(start, 912);
+  MeasureSession session(schema, dcs);
+  const DbHandle handle = session.Register(start);
+  Rng rng(913);
+  for (int step = 1; step <= 30; ++step) {
+    session.Apply(handle,
+                  session.WithDatabase(handle, [&](const Database& db) {
+                    return RandomOp(db, rng, 4);
+                  }));
+    if (step % 5 == 0) session.Vacuum(0.0);
+    const BatchReport report = session.Evaluate(handle);
+    const ViolationSet snapshot = session.Violations(handle);
+    const std::vector<MeasureResult> expected =
+        session.WithDatabase(handle, [&](const Database& db) {
+          MeasureContext context(session.detector(), db, snapshot);
+          return session.Evaluate(context);
+        });
+    const std::string where = "step " + std::to_string(step);
+    EXPECT_EQ(report.num_minimal_subsets, snapshot.num_minimal_subsets())
+        << where;
+    ASSERT_EQ(report.measures.size(), expected.size()) << where;
+    for (size_t m = 0; m < expected.size(); ++m) {
+      EXPECT_EQ(report.measures[m].value, expected[m].value)
+          << where << " " << expected[m].name;
+    }
+  }
+  EXPECT_EQ(session.num_full_detections(), 0u);
 }
 
 }  // namespace

@@ -395,23 +395,6 @@ TEST(ParallelParity, CooperativeDeadlineKAryInnerLoops) {
   EXPECT_TRUE(empty_truncated.empty());
 }
 
-// FindViolationsInvolving filters the full result; parity transfers.
-TEST(ParallelParity, FindViolationsInvolving) {
-  const auto schema = MakeAbcSchema();
-  const auto dcs = AbcFds(*schema);
-  const Database db = MakeRandomDatabase(schema, 0, 50, 3, 88);
-  DetectorOptions sequential;
-  const ViolationDetector reference(schema, dcs, sequential);
-  DetectorOptions parallel;
-  parallel.num_threads = 8;
-  const ViolationDetector detector(schema, dcs, parallel);
-  for (const FactId id : db.ids()) {
-    ExpectIdentical(reference.FindViolationsInvolving(db, id),
-                    detector.FindViolationsInvolving(db, id),
-                    "involving fact " + std::to_string(id));
-  }
-}
-
 // Measures over a parallel detection pass: every measure is a pure
 // function of MI, so the BatchReport (names, order, values, detection
 // metadata — timings excluded) must equal the 1-thread one bit for bit.

@@ -189,6 +189,51 @@ TEST_P(SessionFuzz, AutoVacuumKeepsReportsIdentical) {
   EXPECT_GT(vacuums, 0u) << "auto-vacuum hook never fired";
 }
 
+// Non-integer deletion costs from a decimal palette with ties: sums of
+// 0.1/0.3/0.7 are inexact in binary and the ties give the graphs several
+// optimal covers, so any reordering of the weight sums or the cover choice
+// between the session's index-built graph and the fresh engine's detected
+// one would show under exact ==. Binary and k-ary Sigma, including a
+// self-inconsistency constraint.
+TEST_P(SessionFuzz, DecimalCostTrajectoriesMatchFreshEngine) {
+  const size_t threads = GetParam();
+  static constexpr double kPalette[] = {0.1, 0.3, 0.7};
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> binary = AbcFds(*schema);
+  binary.push_back(*ParseDc(*schema, 0, "!(t.A < t.B & t.B <= t.C)"));
+  std::vector<DenialConstraint> kary;
+  kary.push_back(*ParseDc(*schema, 0, "!(t.B = t'.B & t.C != t'.C)"));
+  std::vector<Predicate> triangle;  // same A, pairwise distinct B
+  triangle.emplace_back(Operand{0, 0}, CompareOp::kEq, Operand{1, 0});
+  triangle.emplace_back(Operand{1, 0}, CompareOp::kEq, Operand{2, 0});
+  triangle.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{1, 1});
+  triangle.emplace_back(Operand{1, 1}, CompareOp::kNe, Operand{2, 1});
+  triangle.emplace_back(Operand{0, 1}, CompareOp::kNe, Operand{2, 1});
+  kary.emplace_back(std::vector<RelationId>(3, 0), std::move(triangle));
+  for (const bool is_kary : {false, true}) {
+    for (const uint64_t seed : {131u, 132u}) {
+      Database start = MakeRandomDatabase(schema, 0, is_kary ? 16 : 45,
+                                          is_kary ? 3 : 5, seed);
+      Rng rng(seed + 1);
+      start.ForEachId([&](FactId id) {
+        start.set_deletion_cost(id, kPalette[rng.UniformIndex(3)]);
+      });
+      MeasureSessionOptions options;
+      options.registry.include_mc = false;
+      options.detector.num_threads = threads;
+      size_t full_detections = 1;
+      RunTrajectoryParity(schema, is_kary ? kary : binary, start, options, 30,
+                          seed * 5 + threads, /*churn=*/false, nullptr,
+                          std::string(is_kary ? "k-ary" : "binary") +
+                              " decimal costs threads=" +
+                              std::to_string(threads) +
+                              " seed=" + std::to_string(seed),
+                          &full_detections);
+      EXPECT_EQ(full_detections, 0u);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(ThreadCounts, SessionFuzz,
                          ::testing::Values(1, 2, 4, 8));
 
