@@ -1,5 +1,7 @@
 #include "measures/measure.h"
 
+#include "violations/incremental.h"
+
 namespace dbim {
 
 MeasureContext::MeasureContext(const ViolationDetector& detector,

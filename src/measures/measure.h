@@ -10,10 +10,11 @@
 #include "relational/database.h"
 #include "violations/conflict_graph.h"
 #include "violations/detector.h"
-#include "violations/incremental.h"
 #include "violations/violation.h"
 
 namespace dbim {
+
+class IncrementalViolationIndex;
 
 /// Shared per-(Sigma, D) computation state. Detecting violations dominates
 /// the cost of most measures (the paper observes the SQL self-join dominates
@@ -37,7 +38,7 @@ namespace dbim {
 ///    The index is borrowed, not copied: the context is valid only while
 ///    the caller holds the lock that serializes the index's Apply (the
 ///    handle mutex, in MeasureSession::EvaluateState), and must not outlive
-///    it.
+///    it. The context is not copyable (its std::once_flag members are not).
 ///
 /// The count accessors (num_minimal_subsets() ... num_problematic_facts())
 /// answer the same numbers on every source; the basic measures and session
@@ -66,9 +67,6 @@ class MeasureContext {
   /// while the index is not mutated). No MI set is copied.
   MeasureContext(const ViolationDetector& detector,
                  const IncrementalViolationIndex& index);
-
-  MeasureContext(const MeasureContext&) = delete;
-  MeasureContext& operator=(const MeasureContext&) = delete;
 
   const Database& db() const { return db_; }
   const ViolationDetector& detector() const { return detector_; }

@@ -16,34 +16,19 @@ ConflictGraph::ConflictGraph(const Database& db,
   edges_.reserve(num_subsets);
 }
 
-ConflictGraph::VertexTable::VertexTable(const ConflictGraph& g) : g_(g) {
-  const std::vector<FactId>& facts = g.fact_of_;
-  if (facts.empty() || facts.back() / kMaxSpread > facts.size()) return;
-  vertex_by_id_.assign(static_cast<size_t>(facts.back()) + 1, UINT32_MAX);
-  for (uint32_t v = 0; v < facts.size(); ++v) vertex_by_id_[facts[v]] = v;
-}
-
-uint32_t ConflictGraph::VertexTable::operator()(FactId id) const {
-  if (vertex_by_id_.empty()) return g_.vertex_of(id);
-  DBIM_CHECK_MSG(id < vertex_by_id_.size() && vertex_by_id_[id] != UINT32_MAX,
-                 "fact %u is not problematic", id);
-  return vertex_by_id_[id];
-}
-
-void ConflictGraph::AddSubset(const VertexTable& vertex,
-                              const std::vector<FactId>& subset) {
+void ConflictGraph::AddSubset(const std::vector<FactId>& subset) {
   if (subset.size() == 1) {
-    const uint32_t v = vertex(subset[0]);
+    const uint32_t v = vertex_of(subset[0]);
     if (!self_inconsistent_[v]) {
       self_inconsistent_[v] = true;
       ++num_self_inconsistent_;
     }
   } else if (subset.size() == 2) {
-    edges_.emplace_back(vertex(subset[0]), vertex(subset[1]));
+    edges_.emplace_back(vertex_of(subset[0]), vertex_of(subset[1]));
   } else {
     std::vector<uint32_t> he;
     he.reserve(subset.size());
-    for (const FactId id : subset) he.push_back(vertex(id));
+    for (const FactId id : subset) he.push_back(vertex_of(id));
     hyperedges_.push_back(std::move(he));
   }
 }

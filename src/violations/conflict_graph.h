@@ -43,10 +43,8 @@ class ConflictGraph {
                                    size_t num_subsets,
                                    ForEachSubset&& for_each_subset) {
     ConflictGraph g(db, std::move(problematic), num_subsets);
-    const VertexTable table(g);
-    for_each_subset([&](const std::vector<FactId>& subset) {
-      g.AddSubset(table, subset);
-    });
+    for_each_subset(
+        [&](const std::vector<FactId>& subset) { g.AddSubset(subset); });
     return g;
   }
 
@@ -83,25 +81,9 @@ class ConflictGraph {
   std::vector<std::vector<uint32_t>> AdjacencyLists() const;
 
  private:
-  // The builder's fact -> vertex lookup, alive for one subset pass. Fact
-  // ids are row locators, dense below the database's id range, so a table
-  // indexed by id answers each member with one load; an id set sparser
-  // than that (largest id past kMaxSpread per vertex) falls back to
-  // vertex_of's binary search.
-  class VertexTable {
-   public:
-    explicit VertexTable(const ConflictGraph& g);
-    uint32_t operator()(FactId id) const;
-
-   private:
-    static constexpr size_t kMaxSpread = 16;
-    const ConflictGraph& g_;
-    std::vector<uint32_t> vertex_by_id_;  // empty: binary search
-  };
-
   ConflictGraph(const Database& db, std::vector<FactId> problematic,
                 size_t num_subsets);
-  void AddSubset(const VertexTable& vertex, const std::vector<FactId>& subset);
+  void AddSubset(const std::vector<FactId>& subset);
 
   std::vector<FactId> fact_of_;  // ascending
   std::vector<std::pair<uint32_t, uint32_t>> edges_;

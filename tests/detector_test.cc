@@ -226,10 +226,9 @@ TEST(ConflictGraph, WeightsReflectDeletionCosts) {
   EXPECT_DOUBLE_EQ(graph.weights()[graph.vertex_of(3)], 1.0);
 }
 
-// Vertex lookup during the build: a direct table over dense ids, a
-// binary search when the ids are too sparse for one. Both number the
-// problematic facts by ascending id and keep subset order.
-TEST(ConflictGraph, DenseAndSparseIdsBuildAlike) {
+// Vertices are the problematic facts by ascending id, dense or sparse;
+// edges and hyperedges keep subset order.
+TEST(ConflictGraph, NumbersVerticesByIdAndKeepsSubsetOrder) {
   const auto schema = MakeAbcSchema();
   for (const FactId scale : {1u, 1000u}) {
     Database db(schema);

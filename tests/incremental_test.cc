@@ -427,6 +427,47 @@ TEST(Snapshot, DerivationCountsMatchPerDerivationAdds) {
   EXPECT_GT(max_derivations, 1u) << "no subset with several derivations";
 }
 
+// A context over the index reads its counts from the index and, on
+// request, hands out the lazy Snapshot(): the same subsets in the same
+// order, the same counts, as a context over that snapshot.
+TEST(IndexBackedContext, ViolationsIsTheSnapshot) {
+  const auto schema = MakeAbcSchema();
+  std::vector<DenialConstraint> dcs;
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A < t.B & t.B <= t.C)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.B != t'.B)"));
+  dcs.push_back(*ParseDc(*schema, 0, "!(t.A = t'.A & t.C != t'.C)"));
+  dcs.push_back(ChainDc3());
+  const ViolationDetector detector(schema, dcs);
+  Database start = MakeRandomDatabase(schema, 0, 16, 3, 406);
+  AssignDecimalCosts(start, 407);
+  IncrementalViolationIndex index(schema, dcs, start);
+  Rng rng(408);
+  for (int step = 0; step <= 20; ++step) {
+    if (step > 0) index.Apply(RandomOp(index.db(), rng, 3));
+    const std::string where = "step " + std::to_string(step);
+    const ViolationSet snapshot = index.Snapshot();
+    MeasureContext from_index(detector, index);
+    MeasureContext from_snapshot(detector, index.db(), snapshot);
+    EXPECT_EQ(from_index.num_minimal_subsets(),
+              from_snapshot.num_minimal_subsets())
+        << where;
+    EXPECT_EQ(from_index.num_minimal_violations(),
+              from_snapshot.num_minimal_violations())
+        << where;
+    EXPECT_EQ(from_index.empty(), from_snapshot.empty()) << where;
+    EXPECT_EQ(from_index.truncated(), from_snapshot.truncated()) << where;
+    EXPECT_EQ(from_index.num_problematic_facts(),
+              from_snapshot.num_problematic_facts())
+        << where;
+    const ViolationSet& lazy = from_index.violations();
+    EXPECT_EQ(lazy.minimal_subsets(), snapshot.minimal_subsets()) << where;
+    EXPECT_EQ(lazy.num_minimal_violations(), snapshot.num_minimal_violations())
+        << where;
+    EXPECT_EQ(lazy.truncated(), snapshot.truncated()) << where;
+    EXPECT_EQ(&from_index.violations(), &lazy) << where;
+  }
+}
+
 void ExpectSameGraph(const ConflictGraph& expected,
                      const ConflictGraph& actual, const std::string& where) {
   ASSERT_EQ(expected.num_vertices(), actual.num_vertices()) << where;
